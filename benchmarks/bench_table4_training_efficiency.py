@@ -28,7 +28,7 @@ from repro.nn.gnn import build_model
 from .conftest import emit
 
 RESULTS: dict[tuple[str, int, str], float] = {}
-INGEST_RESULTS: dict[tuple[str, str, int], float] = {}
+INGEST_RESULTS: dict[tuple[str, int], float] = {}
 
 MODELS = ["gcn", "graphsage", "gat"]
 DEPTHS = [1, 2, 3]
@@ -91,41 +91,29 @@ def bench_table4(benchmark, bench_ppi, ppi_flat_by_hops, model_name, depth, vari
 
 
 # --------------------------------------------------------------------------
-# Trainer ingest: DFS shard layout x preprocessing pool.  The grid measures
-# the *storage-layer* cost the columnar refactor removes: a row epoch must
-# varint-decode every sample before vectorizing, a columnar epoch slices
-# batches straight out of the mmap'd shard matrices.
+# Trainer ingest: epochs read straight from the DFS's columnar shards, whose
+# batches are sliced out of the mmap'd shard matrices, across prefetch pools.
 
 INGEST_GRID = [
-    ("row", "threads", 1),
-    ("row", "threads", 2),
-    ("columnar", "threads", 1),
-    ("columnar", "threads", 2),
-    ("columnar", "processes", 2),
+    ("threads", 1),
+    ("threads", 2),
+    ("processes", 2),
 ]
 
 
 @pytest.fixture(scope="session")
-def ppi_dfs_by_layout(tmp_path_factory, bench_ppi):
-    """The Table 4 PPI training set written to a DFS in both layouts."""
+def ppi_dfs(tmp_path_factory, bench_ppi):
+    """The Table 4 PPI training set written to a DFS."""
     ds = bench_ppi
     fs = DistFileSystem(tmp_path_factory.mktemp("table4-dfs"))
-    for layout in ("row", "columnar"):
-        config = GraphFlatConfig(
-            hops=2, max_neighbors=15, hub_threshold=10**9, seed=0,
-            num_shards=4, dataset_layout=layout,
-        )
-        graph_flat(
-            ds.nodes, ds.edges, ds.train_ids[:600], config, fs=fs,
-            dataset_name=f"flat/{layout}",
-        )
+    config = GraphFlatConfig(hops=2, max_neighbors=15, hub_threshold=10**9, seed=0)
+    graph_flat(ds.nodes, ds.edges, ds.train_ids[:600], config, fs=fs, dataset_name="flat")
     return fs
 
 
-@pytest.mark.parametrize("layout,backend,workers", INGEST_GRID)
-def bench_table4_ingest(benchmark, bench_ppi, ppi_dfs_by_layout, layout, backend, workers):
+@pytest.mark.parametrize("backend,workers", INGEST_GRID)
+def bench_table4_ingest(benchmark, bench_ppi, ppi_dfs, backend, workers):
     ds = bench_ppi
-    fs = ppi_dfs_by_layout
     model = make_model("gcn", ds.feature_dim, ds.num_classes, 2)
     trainer = GraphTrainer(
         model,
@@ -136,36 +124,24 @@ def bench_table4_ingest(benchmark, bench_ppi, ppi_dfs_by_layout, layout, backend
     )
 
     def epoch_from_dfs():
-        # Source opened inside the timed region: the row layout pays its
-        # full per-record decode here, columnar only the header parse.
-        trainer.train_epoch(open_sample_source(fs, f"flat/{layout}"))
+        # Source opened inside the timed region: the header parse counts.
+        trainer.train_epoch(open_sample_source(ppi_dfs, "flat"))
 
     benchmark.pedantic(epoch_from_dfs, rounds=3, warmup_rounds=1, iterations=1)
-    INGEST_RESULTS[(layout, backend, workers)] = benchmark.stats["mean"]
+    INGEST_RESULTS[(backend, workers)] = benchmark.stats["mean"]
 
 
 def bench_table4_ingest_report(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     lines = [
         "Trainer ingest from DFS shards (GCN-2L/16 on PPI-like, 600 targets,",
-        "epoch wall-clock incl. dataset open; shard layout x prefetch pool):",
+        "epoch wall-clock incl. dataset open; columnar shards x prefetch pool):",
         "",
-        f"{'layout':<10}{'prefetch':<22}{'s/epoch':>10}",
-        "-" * 42,
+        f"{'prefetch':<22}{'s/epoch':>10}",
+        "-" * 32,
     ]
-    for (layout, backend, workers), secs in INGEST_RESULTS.items():
-        lines.append(f"{layout:<10}{f'{backend} x{workers}':<22}{secs:>10.3f}")
-    row_ref = INGEST_RESULTS.get(("row", "threads", 1))
-    col_proc = INGEST_RESULTS.get(("columnar", "processes", 2))
-    if row_ref and col_proc:
-        lines += [
-            "",
-            f"columnar + process prefetch vs row + thread prefetch: "
-            f"{row_ref / col_proc:.2f}x faster epoch",
-            "(row epochs re-decode every record through the varint codec in a",
-            "single GIL-bound thread; columnar epochs slice batches out of the",
-            "mmap'd shard matrices and shard vectorization across the pool).",
-        ]
+    for (backend, workers), secs in INGEST_RESULTS.items():
+        lines.append(f"{f'{backend} x{workers}':<22}{secs:>10.3f}")
     emit("table4_training_ingest", "\n".join(lines))
 
 

@@ -11,23 +11,15 @@ GraphFeature state vs. bytes of propagated embeddings).  The shape to
 reproduce: GraphInfer wins total time by a multiple (paper: ~4x), plus large
 CPU (~2x) and memory (~4x) savings, and its embedding-computation count is
 exactly |V| * K while the Original's grows with neighborhood overlap.
-
-The second table is the slice-transport axis: GraphInfer under the
-``processes`` backend at 1/2/4 workers with model slices shipped either
-pickled into every reducer or published once into a shared-memory slab
-(``slice_transport="shm"``).  The quantity the slab removes is the
-serialized parameter bytes per task attempt — reported per transport —
-while output stays byte-identical.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 
 from repro.baselines import OriginalInference
 from repro.core.graphflat import GraphFlatConfig, graph_flat
-from repro.core.infer import GraphInferConfig, broadcast_slices, graph_infer, segment_model
+from repro.core.infer import GraphInferConfig, graph_infer
 from repro.core.trainer import decode_samples
 from repro.nn.gnn import GATModel
 
@@ -83,29 +75,9 @@ def bench_table5_inference(benchmark, bench_uug):
             "scores": result.scores,
         }
 
-    def run_transport_grid():
-        """GraphInfer processes backend: slice-transport x worker-count."""
-        rows = []
-        for workers in (1, 2, 4):
-            for transport in ("pickle", "shm"):
-                config = GraphInferConfig(
-                    backend="processes", num_workers=workers,
-                    slice_transport=transport, **SAMPLING,
-                )
-                wall0 = time.perf_counter()
-                result = graph_infer(model, ds.nodes, ds.edges, config)
-                rows.append({
-                    "workers": workers,
-                    "transport": transport,
-                    "wall": time.perf_counter() - wall0,
-                    "scores": result.scores,
-                })
-        measurements["transport_grid"] = rows
-
     def run_both():
         run_original()
         run_graphinfer()
-        run_transport_grid()
 
     benchmark.pedantic(run_both, rounds=1, iterations=1)
 
@@ -139,28 +111,6 @@ def bench_table5_inference(benchmark, bench_uug):
         f"  ({orig['embeddings'] / gi['embeddings']:.1f}x repetition removed)",
     ]
 
-    # Per-task slice payloads: what one pickled reducer carries under each
-    # transport (the broadcast slab's whole point is the shm column).
-    slices = segment_model(model)
-    slab, located = broadcast_slices(slices)
-    pickled_bytes = max(len(pickle.dumps(s)) for s in slices)
-    locator_bytes = max(len(pickle.dumps(s)) for s in located)
-    slab.close()
-
-    lines += [
-        "",
-        "GraphInfer slice transport x process workers "
-        "(largest per-task slice payload: "
-        f"pickle {pickled_bytes} B, shm locator {locator_bytes} B):",
-        "",
-        f"{'Workers':<10}{'Transport':<12}{'Time(s)':>10}",
-        "-" * 32,
-    ]
-    for row in measurements["transport_grid"]:
-        lines.append(
-            f"{row['workers']:<10}{row['transport']:<12}{row['wall']:>10.2f}"
-        )
-
     # sanity: the two modules agree on the scores they produce
     probe = next(iter(gi["scores"]))
     import numpy as np
@@ -168,11 +118,4 @@ def bench_table5_inference(benchmark, bench_uug):
     assert np.allclose(
         gi["scores"][probe], orig["scores"][probe], rtol=1e-3, atol=1e-4
     ), "GraphInfer and Original disagree — unbiased-inference property violated"
-    # and every transport x worker combination is byte-identical to the
-    # in-process GraphInfer run
-    for row in measurements["transport_grid"]:
-        assert set(row["scores"]) == set(gi["scores"])
-        assert all(
-            np.array_equal(row["scores"][k], v) for k, v in gi["scores"].items()
-        ), f"transport {row['transport']} x{row['workers']} diverged"
     emit("table5_inference", "\n".join(lines))

@@ -17,11 +17,11 @@ from pathlib import Path
 
 from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.infer import GraphInferConfig, graph_infer
-from repro.core.infer.pipeline import decode_prediction
 from repro.core.trainer import GraphTrainer, TrainerConfig, open_sample_source
 from repro.datasets import cora_like, read_edge_table, read_node_table, write_edge_table, write_node_table
 from repro.mapreduce import DistFileSystem, FailureInjector, LocalRuntime
 from repro.nn.gnn import GCNModel
+from repro.proto.codec import decode_prediction
 
 
 def main():
@@ -36,26 +36,25 @@ def main():
     edges = read_edge_table(workdir / "edges.tsv")
     print(f"ingested {len(nodes)} nodes / {len(edges)} edges from TSV")
 
-    # --- GraphFlat on a fault-injected runtime, output sharded on the DFS -
+    # --- GraphFlat on a fault-injected runtime: each final-round reducer
+    # writes one columnar shard of the output dataset on the DFS ----------
     fs = DistFileSystem(workdir / "dfs")
     runtime = LocalRuntime(
         backend="threads",
         max_attempts=8,
         failure_injector=FailureInjector(rate=0.1, seed=42),
     )
-    flat_config = GraphFlatConfig(hops=2, max_neighbors=20, num_shards=4)
+    flat_config = GraphFlatConfig(hops=2, max_neighbors=20)
     graph_flat(nodes, edges, dataset.train_ids, flat_config, runtime, fs, "flat/train")
     graph_flat(nodes, edges, dataset.test_ids, flat_config, runtime, fs, "flat/test")
     print(
         f"GraphFlat: {fs.count_records('flat/train')} train records in "
-        f"{fs.num_shards('flat/train')} {fs.layout('flat/train')} shards "
+        f"{fs.num_shards('flat/train')} shards "
         f"({fs.size_bytes('flat/train') / 2**10:.0f} KiB); "
         f"{runtime.injector.injected} worker failures were injected and retried"
     )
 
-    # --- training runs off the DFS shards through the layout-aware source
-    # (mmap'd batch slicing for columnar shards, per-record decoding for
-    # row shards — same samples either way) --------------------------------
+    # --- training slices its batches out of the mmap'd DFS shards --------
     model = GCNModel(
         in_dim=nodes.feature_dim, hidden_dim=16,
         num_classes=dataset.num_classes, num_layers=2, seed=0,
@@ -70,7 +69,7 @@ def main():
     # --- GraphInfer writes the scored dataset for downstream jobs ---------
     graph_infer(
         model, nodes, edges,
-        GraphInferConfig(max_neighbors=20, num_shards=4),
+        GraphInferConfig(max_neighbors=20),
         runtime, fs, "scores/latest",
     )
     first = next(iter(fs.read_dataset("scores/latest")))

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.graphflat import SAMPLING_REGISTRY, GraphFlatConfig, graph_flat
-from repro.core.graphflat.pipeline import DATASET_SINKS
 from repro.core.infer import GraphInferConfig, graph_infer
 from repro.core.trainer import (
     GraphTrainer,
@@ -30,9 +29,7 @@ from repro.core.trainer import (
     open_sample_source,
 )
 from repro.datasets.io import read_edge_table, read_node_table
-from repro.core.infer.pipeline import SLICE_TRANSPORTS
 from repro.mapreduce import BACKEND_REGISTRY, PARTITIONERS, DistFileSystem
-from repro.mapreduce.fs import DATASET_LAYOUTS
 from repro.nn.gnn import MODEL_REGISTRY, build_model
 from repro.proto.codec import decode_prediction
 from repro.tasks import EDGE_TASKS, TASK_REGISTRY
@@ -63,6 +60,18 @@ def load_model(path: str | Path):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dfs", required=True, help="root directory of the local DFS")
     parser.add_argument(
+        "--hosts", default=None,
+        help="cluster roster as comma-separated host:port entries; the "
+        "first entry is the coordinator (its base port seeds the "
+        "control/PS/shuffle/broadcast port plan, 0 = ephemeral). "
+        "Unset = single-host loopback",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_mapreduce(parser: argparse.ArgumentParser) -> None:
+    """Runtime knobs of the MapReduce pipelines (graphflat, graphinfer)."""
+    parser.add_argument(
         "--backend",
         choices=["auto", *sorted(BACKEND_REGISTRY)],
         default="auto",
@@ -87,13 +96,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "mount); output is byte-identical across all three",
     )
     parser.add_argument(
-        "--hosts", default=None,
-        help="cluster roster as comma-separated host:port entries; the "
-        "first entry is the coordinator (its base port seeds the "
-        "control/PS/shuffle/broadcast port plan, 0 = ephemeral). "
-        "Unset = single-host loopback",
-    )
-    parser.add_argument(
         "--shuffle-codec", choices=["binary", "pickle"], default="binary",
         help="spill record encoding: flat binary records (default; faster, "
         "smaller, byte-identical output) or per-record pickles",
@@ -114,7 +116,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "longer than FACTOR x the phase's median completed duration races "
         "a duplicate attempt; first completion wins",
     )
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_dist(parser: argparse.ArgumentParser) -> None:
@@ -300,7 +301,6 @@ def _cmd_graphflat(args) -> int:
         sampling=args.sampling,
         max_neighbors=args.max_neighbors,
         hub_threshold=args.hub_threshold,
-        num_shards=args.shards,
         seed=args.seed,
         task=args.task,
         edge_targets=args.edge_targets,
@@ -312,8 +312,6 @@ def _cmd_graphflat(args) -> int:
         shuffle_transport=args.shuffle_transport,
         hosts=args.hosts,
         partitioner=args.partitioner,
-        dataset_layout=args.dataset_layout,
-        dataset_sink=args.dataset_sink,
         max_attempts=args.max_attempts,
         task_timeout_s=args.task_timeout_s,
         speculation_factor=args.speculation_factor,
@@ -324,7 +322,7 @@ def _cmd_graphflat(args) -> int:
     unit = "edge samples" if args.task in EDGE_TASKS else "GraphFeatures"
     print(
         f"GraphFlat: wrote {result.num_targets} {unit} to "
-        f"{args.dfs}/{args.output} ({args.dataset_layout} shards, "
+        f"{args.dfs}/{args.output} ({fs.num_shards(args.output)} shards, "
         f"task {result.task}, "
         f"{len(result.hub_nodes)} hub nodes re-indexed, "
         f"mean neighborhood {result.neighborhood_nodes.mean():.1f} nodes)"
@@ -337,9 +335,7 @@ def _cmd_graphflat(args) -> int:
 
 def _cmd_graphtrainer(args) -> int:
     fs = DistFileSystem(args.dfs)
-    # Layout-aware: columnar datasets train off mmap'd shards, row datasets
-    # are decoded into memory — the trainer sees the same samples either way.
-    source = open_sample_source(fs, args.input)
+    source = open_sample_source(fs, args.input)  # mmap'd columnar shards
     if not len(source):
         print("no training samples found", file=sys.stderr)
         return 1
@@ -391,8 +387,6 @@ def _cmd_graphtrainer(args) -> int:
         task=task, seed=args.seed,
         prefetch_backend=args.prefetch_backend,
         prefetch_workers=args.prefetch_workers,
-        prefetch_transport=args.prefetch_transport,
-        prefetch_slab_bytes=args.prefetch_slab_mb << 20,
     )
     if args.dist_workers >= 1:
         import functools
@@ -417,7 +411,7 @@ def _cmd_graphtrainer(args) -> int:
         print(_topology_line(dist))
         print(
             f"GraphTrainer: {args.model} x{args.layers} on {len(source)} samples "
-            f"({fs.layout(args.input)} shards, {dist.num_workers} "
+            f"({fs.num_shards(args.input)} shards, {dist.num_workers} "
             f"{dist.worker_backend} workers, {dist.transport} transport), "
             f"loss {history[0]['loss']:.4f} -> {history[-1]['loss']:.4f}, "
             f"{pulls['refreshes']}/{pulls['pulls']} pulls refreshed "
@@ -431,26 +425,12 @@ def _cmd_graphtrainer(args) -> int:
     save_model(args.model_out, model, args.model)
     print(
         f"GraphTrainer: {args.model} x{args.layers} on {len(source)} samples "
-        f"({fs.layout(args.input)} shards, {args.prefetch_backend} x"
+        f"({fs.num_shards(args.input)} shards, {args.prefetch_backend} x"
         f"{args.prefetch_workers} prefetch), "
         f"loss {history[0]['loss']:.4f} -> {history[-1]['loss']:.4f}, "
         f"model saved to {args.model_out}"
     )
     return 0
-
-
-def _sniff_kind(record: bytes) -> str:
-    """Legacy row datasets (written before kinds landed in ``_META.json``)
-    record nothing, so classify the first record by its wire format.  Only
-    a record that is a well-formed prediction after failing to parse as a
-    sample is called one — anything else raises, so corruption is reported
-    instead of being silently misfiled."""
-    try:
-        decode_samples([record])
-        return "samples"
-    except ValueError:  # CodecError or a truncated varint: not a sample
-        decode_prediction(record)  # corruption propagates from here
-        return "predictions"
 
 
 def _cmd_describe(args) -> int:
@@ -462,10 +442,9 @@ def _cmd_describe(args) -> int:
               file=sys.stderr)
         return 1
     # Only the inspected sample is materialized; the count comes from the
-    # O(num_shards) metadata instead of a full dataset scan.
+    # commit metadata instead of a full dataset scan.
     records = list(itertools.islice(fs.read_dataset(args.dataset), args.sample))
     print(f"dataset:  {args.dataset}")
-    print(f"layout:   {fs.layout(args.dataset)}")
     # Only non-default tasks are recorded, so both legacy datasets and
     # node-classification output render as the default with a marker.
     recorded_task = fs.task(args.dataset)
@@ -481,18 +460,11 @@ def _cmd_describe(args) -> int:
     else:
         print("ps topology: none (single-process; pass --dist-workers N "
               "for a parameter-server run)")
-    # The shuffle transport a pipeline run over this DFS would use with the
-    # same --shuffle-transport/--hosts flags.
-    hosts = args.hosts if args.hosts else "(single host)"
-    print(f"transport: shuffle={args.shuffle_transport} hosts={hosts}")
     if not records:
         return 0
-    # Dispatch on the recorded kind (metadata / columnar header) — decode
-    # errors below are real corruption and propagate, never a reason to
-    # reclassify the dataset.  Sniffing is reserved for legacy row datasets
-    # that predate kind metadata.
-    kind = fs.kind(args.dataset) or _sniff_kind(records[0])
-    if kind == "predictions":
+    # Dispatch on the recorded kind — decode errors below are real
+    # corruption and propagate, never a reason to reclassify the dataset.
+    if fs.kind(args.dataset) == "predictions":
         scores = [decode_prediction(r)[1] for r in records]
         dims = {len(s) for s in scores}
         print(f"kind:     predictions (score dims {sorted(dims)})")
@@ -548,7 +520,6 @@ def _cmd_graphinfer(args) -> int:
         sampling=args.sampling,
         max_neighbors=args.max_neighbors,
         hub_threshold=args.hub_threshold,
-        num_shards=args.shards,
         seed=args.seed,
         backend=_backend_name(args),
         num_workers=args.num_workers,
@@ -557,9 +528,6 @@ def _cmd_graphinfer(args) -> int:
         shuffle_transport=args.shuffle_transport,
         hosts=args.hosts,
         partitioner=args.partitioner,
-        dataset_layout=args.dataset_layout,
-        dataset_sink=args.dataset_sink,
-        slice_transport=args.slice_transport,
         max_attempts=args.max_attempts,
         task_timeout_s=args.task_timeout_s,
         speculation_factor=args.speculation_factor,
@@ -621,19 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="link prediction: negative edges drawn per positive edge",
     )
     flat.add_argument("--output", default="graphflat/output")
-    flat.add_argument("--shards", type=int, default=4)
-    flat.add_argument(
-        "--dataset-layout", choices=DATASET_LAYOUTS, default="columnar",
-        help="output shard layout: mmap-able columnar matrices (default) or "
-        "framed per-sample row records",
-    )
-    flat.add_argument(
-        "--dataset-sink", choices=DATASET_SINKS, default="auto",
-        help="who writes the output shards: 'reducer' streams each final "
-        "partition straight to its own columnar shard (constant parent "
-        "memory), 'parent' collects and re-shards centrally; 'auto' picks "
-        "reducer for columnar output",
-    )
     flat.add_argument(
         "--partitioner", choices=PARTITIONERS, default="hash",
         help="shuffle partition strategy: 'hash' (crc32 of the key) or "
@@ -641,6 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reducers; output stays byte-identical to hash)",
     )
     _add_common(flat)
+    _add_mapreduce(flat)
     flat.set_defaults(func=_cmd_graphflat)
 
     train = sub.add_parser("graphtrainer", help="train a GNN from GraphFeatures")
@@ -670,18 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="preprocessing pool backend; 'processes' shards preprocessing "
         "across cores while the main process trains",
     )
-    train.add_argument(
-        "--prefetch-transport", choices=["auto", "shm", "pickle"], default="auto",
-        help="how prepared batches return from prefetch workers: shared-"
-        "memory slabs (protocol-5 out-of-band buffers; kilobytes on the "
-        "result pipe) or whole-batch pickles; 'auto' picks shm for the "
-        "processes backend",
-    )
-    train.add_argument(
-        "--prefetch-slab-mb", type=int, default=64,
-        help="per-slot shm slab capacity in MiB; oversized batches fall "
-        "back to the pickle pipe",
-    )
     _add_common(train)
     _add_dist(train)
     train.set_defaults(func=_cmd_graphtrainer)
@@ -696,7 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--max-neighbors", type=int, default=10**9)
     infer.add_argument("--hub-threshold", type=int, default=10**9)
     infer.add_argument("--output", default="graphinfer/output")
-    infer.add_argument("--shards", type=int, default=4)
     infer.add_argument("--targets",
                        help="file of node ids: score only these (pruned pipeline)")
     infer.add_argument(
@@ -711,30 +654,13 @@ def build_parser() -> argparse.ArgumentParser:
         "graph's own edges",
     )
     infer.add_argument(
-        "--dataset-layout", choices=DATASET_LAYOUTS, default="columnar",
-        help="prediction shard layout: stacked columnar scores (default) or "
-        "framed per-record rows",
-    )
-    infer.add_argument(
-        "--dataset-sink", choices=DATASET_SINKS, default="auto",
-        help="who writes the prediction shards: 'reducer' streams each "
-        "final partition straight to its own shard, 'parent' collects and "
-        "re-shards centrally; 'auto' picks reducer for columnar output",
-    )
-    infer.add_argument(
-        "--slice-transport", choices=SLICE_TRANSPORTS, default="auto",
-        help="how model slices reach reducers: 'shm' publishes them once "
-        "into a shared-memory slab (zero parameter bytes per task), "
-        "'pickle' embeds them in every pickled reducer; 'auto' picks shm "
-        "under the processes backend",
-    )
-    infer.add_argument(
         "--partitioner", choices=PARTITIONERS, default="hash",
         help="shuffle partition strategy: 'hash' (crc32 of the key) or "
         "'planned' (degree-aware plan that spreads heavy keys across "
         "reducers; output stays byte-identical to hash)",
     )
     _add_common(infer)
+    _add_mapreduce(infer)
     infer.set_defaults(func=_cmd_graphinfer)
 
     worker = sub.add_parser(

@@ -39,7 +39,7 @@ from repro.core.graphflat.sampling import SamplingStrategy, make_sampler
 from repro.graph.subgraph import GraphFeature, merge_graph_features
 from repro.graph.tables import EdgeTable, NodeTable
 from repro.graph.validate import validate_tables
-from repro.mapreduce.fs import DATASET_LAYOUTS, DistFileSystem
+from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.job import MapReduceJob, SumCombiner
 from repro.mapreduce.partition import PARTITIONERS, PartitionPlan, plan_partitions, publish_plan
 from repro.mapreduce.runtime import LocalRuntime, RunStats
@@ -49,7 +49,6 @@ from repro.proto.columnar import write_sample_shard
 from repro.tasks import make_task
 
 __all__ = [
-    "DATASET_SINKS",
     "GraphFlatConfig",
     "GraphFlatResult",
     "MergeReducer",
@@ -60,8 +59,6 @@ __all__ = [
     "build_partition_plan",
     "graph_flat",
 ]
-
-DATASET_SINKS = ("auto", "parent", "reducer")
 
 
 @dataclass
@@ -86,7 +83,6 @@ class GraphFlatConfig:
     hub_threshold: int = 1_000
     reindex_fanout: int = 8
     num_reducers: int = 4
-    num_shards: int = 4
     seed: int = 0
     validate: bool = True
     backend: str = "serial"
@@ -110,22 +106,6 @@ class GraphFlatConfig:
     hash: output record order is partition-major, so pinning the last
     round's placement is what keeps pipeline output byte-identical across
     partitioners (tested)."""
-    dataset_layout: str = "columnar"
-    """DFS shard layout for the output dataset: ``columnar`` (mmap-able
-    stacked matrices that GraphTrainer slices batches from — the default;
-    samples go straight from the final reduce into the shard writer, no
-    per-sample re-framing pass) or ``row`` (framed per-sample byte strings,
-    the compatibility fallback).  ``read_dataset`` yields byte-identical
-    records either way."""
-    dataset_sink: str = "auto"
-    """Who writes the output shards.  ``reducer``: each final-round reducer
-    writes its own columnar shard directly into the DFS — the sample
-    triples never funnel through the parent process, and shard count equals
-    ``num_reducers`` (``num_shards`` is ignored).  ``parent``: the classic
-    collect-then-write path (``num_shards`` shards).  ``auto`` (default)
-    picks ``reducer`` whenever a DFS is given with columnar layout.  The
-    global record stream (``read_dataset``) is byte-identical either way —
-    only shard boundaries differ."""
     spill_run_records: int = DEFAULT_RUN_RECORDS
     """External-sort run bound: records buffered per spill writer before a
     sorted run is flushed (see ``repro.mapreduce.spill.SpillRunWriter``)."""
@@ -162,10 +142,6 @@ class GraphFlatConfig:
             raise ValueError("edge_targets must be >= 1")
         if self.negative_ratio < 1:
             raise ValueError("negative_ratio must be >= 1")
-        if self.dataset_layout not in DATASET_LAYOUTS:
-            raise ValueError(f"dataset_layout must be one of {DATASET_LAYOUTS}")
-        if self.dataset_sink not in DATASET_SINKS:
-            raise ValueError(f"dataset_sink must be one of {DATASET_SINKS}")
         if self.partitioner not in PARTITIONERS:
             raise ValueError(f"partitioner must be one of {PARTITIONERS}")
         from repro.transport.shuffle import SHUFFLE_TRANSPORTS
@@ -324,9 +300,10 @@ def graph_flat(
     runtime:
         MapReduce runtime; defaults to a serial one.
     fs / dataset_name:
-        when ``fs`` is given, flattened samples are written there as a
-        sharded dataset and ``result.dataset`` is set; otherwise the encoded
-        samples are returned in memory (``result.samples``).
+        when ``fs`` is given, each final-round reducer writes its samples
+        as one columnar shard of that dataset and ``result.dataset`` is
+        set; otherwise the encoded samples are returned in memory
+        (``result.samples``).
     """
     config = config or GraphFlatConfig()
     owns_runtime = runtime is None
@@ -464,112 +441,73 @@ def _graph_flat(
         if planned is not None:
             # Intermediate rounds get planned placement; the *final* round
             # keeps the hash default: output record order is partition-major
-            # and reducer-sink shards are per-partition, so pinning the last
+            # and shards are per-partition, so pinning the last
             # round's placement is the planner's determinism contract —
             # pipeline output stays byte-identical across partitioners.
             for job in jobs[:-1]:
                 job.partitioner = planned
-        sink_mode = config.dataset_sink
-        if sink_mode == "auto":
-            sink_mode = (
-                "reducer"
-                if fs is not None and config.dataset_layout == "columnar"
-                else "parent"
-            )
-        elif sink_mode == "reducer" and (fs is None or config.dataset_layout != "columnar"):
-            raise ValueError(
-                "dataset_sink='reducer' requires a DFS and columnar dataset_layout"
-            )
-
-        if sink_mode == "reducer":
-            # ---- Storing, reducer-owned: each final-round reducer writes
-            # its own AGLC shard straight into the (pre-cleared) dataset
-            # directory; sample triples never travel through this process.
-            # Shard order = partition order and keys are sorted within a
-            # partition, so the global record stream matches the parent-side
-            # write exactly.
+        samples = None
+        if fs is None:
+            data = runtime.run_rounds(jobs, node_rows + edge_rows)
+            triples, n_nodes, n_edges = _final_triples(data, label_of, type_table)
+            samples = [encode_sample(*triple) for triple in triples]
+        else:
+            # ---- Storing: each final-round reducer writes its own AGLC
+            # shard straight into the (pre-cleared) dataset directory;
+            # sample triples never travel through this process.  Shard
+            # order = partition order and keys are sorted within a
+            # partition, so the global record stream equals the in-memory
+            # output exactly.
             directory = fs.prepare_dataset(dataset_name)
             sink = SampleShardSink(str(directory), label_of, type_table, meta_task)
             summaries = runtime.run_rounds(jobs, node_rows + edge_rows, final_sink=sink)
-            round_stats = degree_stats + list(runtime.round_stats)
-            counts = [count for count, _, _ in summaries]
             fs.finalize_dataset(
                 dataset_name,
-                layout="columnar",
                 kind="samples",
-                record_counts=counts,
+                record_counts=[count for count, _, _ in summaries],
                 task=meta_task,
             )
-            return GraphFlatResult(
-                num_targets=sum(counts),
-                hops=config.hops,
-                task=config.task,
-                dataset=dataset_name,
-                hub_nodes=sorted(hubs),
-                round_stats=round_stats,
-                neighborhood_nodes=np.asarray(
-                    [n for _, n_nodes, _ in summaries for n in n_nodes], dtype=np.int64
-                ),
-                neighborhood_edges=np.asarray(
-                    [n for _, _, n_edges in summaries for n in n_edges], dtype=np.int64
-                ),
-            )
-
-        data = runtime.run_rounds(jobs, node_rows + edge_rows)
+            n_nodes = [n for _, nodes_, _ in summaries for n in nodes_]
+            n_edges = [n for _, _, edges_ in summaries for n in edges_]
     finally:
         # Single unlink point for the plan slab — covers failed rounds too.
         if partition_broadcast is not None:
             partition_broadcast.close()
-    # Degree-job stats included: the CLI/bench shuffle accounting must cover
-    # every round the pipeline actually ran.
-    round_stats: list[RunStats] = degree_stats + list(runtime.round_stats)
-
-    # ---- Storing, parent-side -----------------------------------------------
-    # ``sample_id`` is the node id (node tasks) or edge index (edge tasks);
-    # edge tasks' final pairing round already yields GraphFeatures.
-    triples: list[tuple] = []
-    n_nodes: list[int] = []
-    n_edges: list[int] = []
-    for sample_id, (tag, info) in data:
-        if tag != "final":  # pragma: no cover - defensive
-            raise RuntimeError(f"unexpected record tag {tag!r} after final round")
-        gf = info if isinstance(info, GraphFeature) else info.to_graph_feature()
-        if type_table is not None:
-            gf = type_table.attach(gf)
-        n_nodes.append(gf.num_nodes)
-        n_edges.append(gf.num_edges)
-        triples.append((sample_id, label_of(sample_id), gf))
-
-    result = GraphFlatResult(
-        num_targets=len(triples),
+    return GraphFlatResult(
+        num_targets=len(n_nodes),
         hops=config.hops,
         task=config.task,
+        dataset=None if fs is None else dataset_name,
+        samples=samples,
         hub_nodes=sorted(hubs),
-        round_stats=round_stats,
+        # Degree-job stats included: the CLI/bench shuffle accounting must
+        # cover every round the pipeline actually ran.
+        round_stats=degree_stats + list(runtime.round_stats),
         neighborhood_nodes=np.asarray(n_nodes, dtype=np.int64),
         neighborhood_edges=np.asarray(n_edges, dtype=np.int64),
     )
-    if fs is not None and config.dataset_layout == "columnar":
-        # Columnar shards take the triples directly — no per-sample
-        # re-framing pass between the final reduce and the DFS.
-        fs.write_dataset(
-            dataset_name,
-            triples,
-            num_shards=config.num_shards,
-            layout="columnar",
-            task=meta_task,
-        )
-        result.dataset = dataset_name
-        return result
-    encoded = [encode_sample(sample_id, label, gf) for sample_id, label, gf in triples]
-    if fs is not None:
-        fs.write_dataset(
-            dataset_name, encoded, num_shards=config.num_shards, task=meta_task
-        )
-        result.dataset = dataset_name
-    else:
-        result.samples = encoded
-    return result
+
+
+def _final_triples(pairs, labels, types) -> tuple[list[tuple], list[int], list[int]]:
+    """Final-round output pairs as ``(sample_id, label, GraphFeature)``
+    triples, plus each sample's node and edge counts.
+
+    ``sample_id`` is the node id (node tasks) or edge index (edge tasks);
+    node flows yield SubgraphInfos to flatten, edge flows' pairing round
+    already yields GraphFeatures."""
+    triples: list[tuple] = []
+    n_nodes: list[int] = []
+    n_edges: list[int] = []
+    for sample_id, (tag, info) in pairs:
+        if tag != "final":  # pragma: no cover - defensive
+            raise RuntimeError(f"unexpected record tag {tag!r} after final round")
+        gf = info if isinstance(info, GraphFeature) else info.to_graph_feature()
+        if types is not None:
+            gf = types.attach(gf)
+        n_nodes.append(gf.num_nodes)
+        n_edges.append(gf.num_edges)
+        triples.append((sample_id, labels(sample_id), gf))
+    return triples, n_nodes, n_edges
 
 
 @dataclass(frozen=True)
@@ -578,8 +516,8 @@ class _LabelTable:
 
     The closure variant of this (capturing the whole :class:`NodeTable`)
     cannot ship inside a reducer-owned sink under the process backend;
-    this table can, and both sink modes use it so label semantics cannot
-    drift between them."""
+    this table can, and the in-memory output uses it too so label
+    semantics cannot drift between the two."""
 
     ids: np.ndarray
     values: np.ndarray | None
@@ -644,8 +582,8 @@ class _TypeTable:
 
     Types ride *outside* the MapReduce rounds: the shuffled SubgraphInfo
     records stay exactly as they were (byte-identical spills), and types
-    are attached to the flattened GraphFeatures at the storage boundary —
-    the sink (reducer path) or the parent storing loop."""
+    are attached to the flattened GraphFeatures at the storage boundary
+    (:func:`_final_triples`)."""
 
     node_types: dict[int, int] | None
     edge_types: dict[tuple[int, int], int] | None
@@ -703,11 +641,7 @@ class SampleShardSink:
     output pairs straight into one AGLC shard (``part-<task>``), buffering
     one shard's triples — never the whole dataset.  Returns ``(count,
     n_nodes, n_edges)`` per partition; the parent only ever sees these
-    summaries.
-
-    Handles both final-round shapes: node flows yield SubgraphInfos to
-    flatten, edge flows yield already-joined GraphFeatures keyed by edge
-    index (``labels`` is the matching lookup either way)."""
+    summaries."""
 
     directory: str
     labels: _LabelTable | _EdgeLabelTable
@@ -715,18 +649,7 @@ class SampleShardSink:
     task: str | None = None
 
     def store(self, task_index: int, pairs):
-        triples: list[tuple] = []
-        n_nodes: list[int] = []
-        n_edges: list[int] = []
-        for sample_id, (tag, info) in pairs:
-            if tag != "final":  # pragma: no cover - defensive
-                raise RuntimeError(f"unexpected record tag {tag!r} after final round")
-            gf = info if isinstance(info, GraphFeature) else info.to_graph_feature()
-            if self.types is not None:
-                gf = self.types.attach(gf)
-            n_nodes.append(gf.num_nodes)
-            n_edges.append(gf.num_edges)
-            triples.append((sample_id, self.labels(sample_id), gf))
+        triples, n_nodes, n_edges = _final_triples(pairs, self.labels, self.types)
         path = Path(self.directory) / f"part-{task_index:05d}"
         count = write_sample_shard(path, triples, task=self.task)
         return count, n_nodes, n_edges

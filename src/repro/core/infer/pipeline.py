@@ -22,23 +22,18 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.graphflat.pipeline import (
-    DATASET_SINKS,
-    _EdgeFanout,
-    build_partition_plan,
-)
+from repro.core.graphflat.pipeline import _EdgeFanout, build_partition_plan
 from repro.core.graphflat.sampling import SamplingStrategy, make_sampler
 from repro.core.infer.segmentation import ModelSlice, broadcast_slices, segment_model
 from repro.graph.tables import EdgeTable, NodeTable
 from repro.graph.validate import validate_tables
-from repro.mapreduce.fs import DATASET_LAYOUTS, DistFileSystem
+from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.partition import PARTITIONERS, publish_plan
 from repro.mapreduce.runtime import LocalRuntime, RunStats
 from repro.mapreduce.spill import DEFAULT_RUN_BYTES, DEFAULT_RUN_RECORDS
 from repro.proto.columnar import write_prediction_shard
 from repro.nn.gnn.base import GNNModel
-from repro.proto.codec import decode_prediction, encode_prediction
 from repro.proto.framing import (
     decode_edge_fields,
     decode_value,
@@ -46,16 +41,12 @@ from repro.proto.framing import (
     encode_value,
     register_record,
 )
-from repro.proto.varint import decode_signed, decode_unsigned, encode_signed, encode_unsigned
 from repro.tasks import make_task
-
-SLICE_TRANSPORTS = ("auto", "shm", "pickle")
 
 __all__ = [
     "EdgePredictionReducer",
     "EmbeddingReducer",
     "GraphInferConfig",
-    "SLICE_TRANSPORTS",
     "GraphInferResult",
     "InferPartialReducer",
     "InferPrepareReducer",
@@ -125,7 +116,6 @@ class GraphInferConfig:
     hub_threshold: int = 10**9
     reindex_fanout: int = 8
     num_reducers: int = 4
-    num_shards: int = 4
     seed: int = 0
     validate: bool = True
     backend: str = "serial"
@@ -147,25 +137,6 @@ class GraphInferConfig:
     detection uses).  The final prediction round always partitions by
     hash so score order and shard contents stay partitioner-independent
     (see ``GraphFlatConfig.partitioner``)."""
-    dataset_layout: str = "columnar"
-    """DFS shard layout for the predictions dataset: ``columnar`` (stacked
-    ``node_ids`` + score matrix per shard — the default) or ``row`` (framed
-    per-record byte strings).  ``read_dataset`` yields byte-identical
-    records either way."""
-    slice_transport: str = "auto"
-    """How model slices reach the reducers: ``shm`` publishes every slice
-    once into a shared-memory slab (:class:`~repro.ps.shm.SlabBroadcast`)
-    and ships only locators — zero serialized parameter bytes per task
-    attempt; ``pickle`` embeds the parameter arrays in each pickled
-    reducer (the pre-slab behavior, kept as the in-process fallback);
-    ``auto`` (default) picks ``shm`` under the ``processes`` backend and
-    ``pickle`` otherwise.  Scores are byte-identical either way (tested)."""
-    dataset_sink: str = "auto"
-    """Who writes the predictions shards: ``reducer`` (each final-round
-    reducer writes its own columnar shard; shard count = ``num_reducers``),
-    ``parent`` (collect then write ``num_shards`` shards), or ``auto``
-    (default — ``reducer`` whenever a DFS is given with columnar layout).
-    The global record stream is byte-identical either way."""
     spill_run_records: int = DEFAULT_RUN_RECORDS
     """External-sort run bound: records buffered per spill writer before a
     sorted run is flushed (see ``repro.mapreduce.spill.SpillRunWriter``)."""
@@ -199,15 +170,6 @@ class GraphInferConfig:
 
     def __post_init__(self):
         make_task(self.task)  # fail fast on unknown task names
-        if self.dataset_layout not in DATASET_LAYOUTS:
-            raise ValueError(f"dataset_layout must be one of {DATASET_LAYOUTS}")
-        if self.dataset_sink not in DATASET_SINKS:
-            raise ValueError(f"dataset_sink must be one of {DATASET_SINKS}")
-        if self.slice_transport not in SLICE_TRANSPORTS:
-            raise ValueError(
-                f"slice_transport must be one of {SLICE_TRANSPORTS}, "
-                f"got {self.slice_transport!r}"
-            )
         if self.partitioner not in PARTITIONERS:
             raise ValueError(f"partitioner must be one of {PARTITIONERS}")
         from repro.transport.shuffle import SHUFFLE_TRANSPORTS
@@ -250,8 +212,11 @@ class GraphInferResult:
     """Total per-node layer evaluations — exactly ``K * |V|`` here; the
     original module's count grows with neighborhood overlap instead."""
     slice_transport: str = "pickle"
-    """The resolved transport this run shipped model slices with
-    (``auto`` never appears here)."""
+    """How this run shipped model slices to reducers: ``shm`` under the
+    ``processes`` backend (every slice published once into a shared-memory
+    slab, :class:`~repro.ps.shm.SlabBroadcast`, and reducers pickle only
+    locators), ``pickle`` on the in-process backends (the parameter arrays
+    ride inside each reducer)."""
 
 
 def _degree_counts(edges: EdgeTable) -> tuple[np.ndarray, np.ndarray]:
@@ -325,8 +290,9 @@ def graph_infer(
 ) -> GraphInferResult:
     """Run segmented-model inference over the whole graph.
 
-    Returns per-node prediction scores (in-memory dict keyed by node id, or
-    a DFS dataset of framed prediction records when ``fs`` is given).
+    Returns per-node prediction scores: an in-memory dict keyed by node id,
+    or, when ``fs`` is given, a DFS dataset whose final-round reducers each
+    wrote one columnar prediction shard.
 
     ``targets`` restricts inference to a subset of nodes, enabling §3.4's
     pruning: "the pruning strategy similar to that in GraphTrainer also
@@ -372,9 +338,7 @@ def _graph_infer(
     edges = edges.coalesce()  # must match GraphFlat's canonical adjacency
 
     slices = segment_model(model)
-    transport = config.slice_transport
-    if transport == "auto":
-        transport = "shm" if runtime.backend == "processes" else "pickle"
+    transport = "shm" if runtime.backend == "processes" else "pickle"
     broadcast = None
     if transport == "shm":
         # Publish every slice's parameters into one named slab, once per
@@ -515,8 +479,8 @@ def _graph_infer_rounds(
     )
     if planned is not None:
         # Embedding rounds get planned placement; the prediction round
-        # keeps the hash default so score order and reducer-sink shard
-        # contents are partitioner-independent (GraphFlat pins its final
+        # keeps the hash default so score order and shard contents
+        # are partitioner-independent (GraphFlat pins its final
         # round for the same reason).
         for job in jobs[:-1]:
             job.partitioner = planned
@@ -531,74 +495,34 @@ def _graph_infer_rounds(
         )
 
     try:
-        sink_mode = config.dataset_sink
-        if sink_mode == "auto":
-            sink_mode = (
-                "reducer"
-                if fs is not None and config.dataset_layout == "columnar"
-                else "parent"
-            )
-        elif sink_mode == "reducer" and (fs is None or config.dataset_layout != "columnar"):
-            raise ValueError(
-                "dataset_sink='reducer' requires a DFS and columnar dataset_layout"
-            )
-
-        if sink_mode == "reducer":
-            # Reducer-owned sink: each prediction reducer writes its own
-            # AGLC shard; score matrices never travel through this process.
-            directory = fs.prepare_dataset(dataset_name)
-            sink = PredictionShardSink(str(directory))
-            counts = runtime.run_rounds(jobs, node_rows + edge_rows, final_sink=sink)
-            fs.finalize_dataset(
-                dataset_name,
-                layout="columnar",
-                kind="predictions",
-                record_counts=counts,
-                task=meta_task,
-            )
+        if fs is None:
+            data = runtime.run_rounds(jobs, node_rows + edge_rows)
             return GraphInferResult(
-                num_nodes=sum(counts),
-                dataset=dataset_name,
+                num_nodes=len(data),
+                scores={int(v): s for v, s in data},
                 round_stats=list(runtime.round_stats),
                 embedding_computations=embedding_computations,
                 slice_transport=transport,
             )
-
-        data = runtime.run_rounds(jobs, node_rows + edge_rows)
+        # Each prediction reducer writes its own AGLC shard; score matrices
+        # never travel through this process.
+        directory = fs.prepare_dataset(dataset_name)
+        sink = PredictionShardSink(str(directory))
+        counts = runtime.run_rounds(jobs, node_rows + edge_rows, final_sink=sink)
+        fs.finalize_dataset(
+            dataset_name, kind="predictions", record_counts=counts, task=meta_task
+        )
+        return GraphInferResult(
+            num_nodes=sum(counts),
+            dataset=dataset_name,
+            round_stats=list(runtime.round_stats),
+            embedding_computations=embedding_computations,
+            slice_transport=transport,
+        )
     finally:
         # Single unlink point for the plan slab — covers failed rounds too.
         if partition_broadcast is not None:
             partition_broadcast.close()
-    stats = list(runtime.round_stats)
-
-    result = GraphInferResult(
-        num_nodes=len(data),
-        round_stats=stats,
-        embedding_computations=embedding_computations,
-        slice_transport=transport,
-    )
-    if fs is not None:
-        if config.dataset_layout == "columnar":
-            fs.write_dataset(
-                dataset_name,
-                [(int(v), s) for v, s in data],
-                num_shards=config.num_shards,
-                layout="columnar",
-                kind="predictions",
-                task=meta_task,
-            )
-        else:
-            fs.write_dataset(
-                dataset_name,
-                (encode_prediction(v, s) for v, s in data),
-                num_shards=config.num_shards,
-                kind="predictions",
-                task=meta_task,
-            )
-        result.dataset = dataset_name
-    else:
-        result.scores = {int(v): s for v, s in data}
-    return result
 
 
 # --------------------------------------------------------------------- keys
@@ -689,7 +613,7 @@ class EmbeddingReducer:
     """One GNN layer's Reduce round.  Ships the picklable :class:`ModelSlice`
     and materializes the runnable layer lazily, once per process — exactly
     the production "each reducer loads its model slice" behavior (§3.4).
-    With ``slice_transport="shm"`` the slice is locator-backed, so the
+    Under the ``processes`` backend the slice is locator-backed, so the
     pickled reducer carries no parameter arrays at all; materialization
     attaches the broadcast slab instead."""
 

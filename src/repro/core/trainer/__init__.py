@@ -4,7 +4,7 @@ Components map one-to-one onto the paper's Figure 4:
 
 * :mod:`vectorize` — merge a batch of GraphFeatures and build the three
   matrices ``A_B`` (destination-sorted sparse adjacency), ``X_B``, ``E_B``;
-* :mod:`dataset` — layout-aware sample sources (in-memory lists, or
+* :mod:`dataset` — sample sources (in-memory lists, or
   zero-copy slicing over mmap'd columnar DFS shards);
 * :mod:`pruning` — per-layer pruned adjacencies ``A^(k)_B`` (graph-level
   optimization);

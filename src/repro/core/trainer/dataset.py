@@ -1,4 +1,4 @@
-"""Sample sources — the trainer's layout-aware view of a dataset.
+"""Sample sources — the trainer's view of a dataset.
 
 GraphTrainer used to accept only in-memory lists (wire bytes or decoded
 :class:`TrainSample` objects).  A :class:`SampleSource` generalises that to
@@ -14,10 +14,10 @@ decoding — the dataset:
   prefetch worker ships a few ints per batch and slices the shard out of
   its own mapping (per-process shard cache).
 
-:func:`open_sample_source` picks the right source for a DFS dataset from
-its layout metadata; both sources present samples in ``read_dataset``
-order (shard-major), so switching layouts never changes the data order a
-trainer sees — per-epoch losses are bit-identical across layouts (tested).
+:func:`open_sample_source` opens a DFS dataset as a
+:class:`ColumnarDataset`, which presents samples in ``read_dataset`` order
+(shard-major) — the order of the in-memory GraphFlat output, so per-epoch
+losses are bit-identical whichever of the two a trainer reads (tested).
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ class ColumnarDataset(SampleSource):
     """Random access over the columnar shards of one dataset.
 
     Global sample index is shard-major (shard 0's rows, then shard 1's …),
-    matching ``DistFileSystem.read_dataset`` order for the row layout.
+    matching ``DistFileSystem.read_dataset`` order.
     """
 
     def __init__(self, shard_paths):
@@ -305,10 +305,9 @@ def as_sample_source(data) -> SampleSource:
     return MemorySamples(data)
 
 
-def open_sample_source(fs, name: str) -> SampleSource:
-    """Layout-aware DFS reader: mmap'd :class:`ColumnarDataset` for
-    columnar datasets, a decoded :class:`MemorySamples` for row datasets.
-    Every consumer that loops ``read_dataset`` should go through this."""
-    if fs.layout(name) == "columnar":
-        return ColumnarDataset([Path(p) for p in fs.shards(name)])
-    return MemorySamples(decode_samples(fs.read_dataset(name)))
+def open_sample_source(fs, name: str) -> ColumnarDataset:
+    """The mmap'd :class:`ColumnarDataset` over a committed DFS dataset
+    (an uncommitted one raises
+    :class:`~repro.mapreduce.fs.UncommittedDatasetError`).  Every consumer
+    that would loop ``read_dataset`` should go through this."""
+    return ColumnarDataset(fs.shards(name))

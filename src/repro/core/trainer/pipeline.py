@@ -36,20 +36,9 @@ from repro.mapreduce.backends import (
 from repro.nn.gnn.block import BatchInputs
 from repro.utils.timer import TimerRegistry
 
-__all__ = ["BatchPipeline", "BatchPreparer", "PREFETCH_TRANSPORTS"]
+__all__ = ["BatchPipeline", "BatchPreparer"]
 
 _SENTINEL = object()
-
-PREFETCH_TRANSPORTS = ("auto", "shm", "pickle")
-"""How prepared batches travel from pool workers back to the trainer.
-
-``pickle`` is the classic path: the whole ``(inputs, labels)`` tuple rides
-the result pipe.  ``shm`` parks the numpy payload in a parent-owned
-per-slot :class:`~repro.ps.shm.BatchSlab` and pickles only a tiny locator
-(protocol-5 out-of-band buffers), so the pipe carries kilobytes instead of
-the vectorized batch.  ``auto`` picks ``shm`` exactly when batches cross a
-process boundary (``backend.needs_pickling``) and ``pickle`` otherwise —
-same-process backends already hand over bare references."""
 
 
 @dataclass(frozen=True)
@@ -89,31 +78,6 @@ class BatchPreparer:
         return inputs, labels, time.perf_counter() - start
 
 
-@dataclass(frozen=True)
-class _SlabPreparer:
-    """Pool-worker wrapper that parks the prepared batch in a shm slab.
-
-    One instance per in-flight window slot, each bound to its own slab —
-    the parent drains slot *i* before reissuing it, so overwriting is safe.
-    Falls back to shipping the tuple in-band (``ref is None``) when the
-    batch outgrows the slab."""
-
-    prepare: BatchPreparer
-    slab: str
-    capacity: int
-
-    def __call__(self, batch):
-        inputs, labels, seconds = self.prepare(batch)
-        start = time.perf_counter()
-        from repro.ps.shm import slab_dump  # lazy: repro.ps imports the trainer
-
-        ref = slab_dump((inputs, labels), self.slab, self.capacity)
-        seconds += time.perf_counter() - start
-        if ref is None:
-            return inputs, labels, seconds
-        return ref, None, seconds
-
-
 class BatchPipeline:
     """Iterate ``(BatchInputs, labels)`` over batches of samples.
 
@@ -142,10 +106,6 @@ class BatchPipeline:
     timers:
         optional :class:`TimerRegistry`; preprocessing time lands in
         ``"preprocess"`` (regardless of which thread or process spent it).
-    transport / slab_bytes:
-        result-path transport, one of :data:`PREFETCH_TRANSPORTS`, and the
-        per-slot slab capacity for the ``shm`` path.  ``shm_batches`` /
-        ``inband_batches`` count which path each pool batch actually took.
     """
 
     def __init__(
@@ -159,20 +119,12 @@ class BatchPipeline:
         timers: TimerRegistry | None = None,
         backend: str | Backend = "threads",
         workers: int = 1,
-        transport: str = "auto",
-        slab_bytes: int = 64 << 20,
         edge_level: bool = False,
     ):
         if prefetch < 1:
             raise ValueError("prefetch must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if transport not in PREFETCH_TRANSPORTS:
-            raise ValueError(
-                f"unknown prefetch transport {transport!r}; known: {PREFETCH_TRANSPORTS}"
-            )
-        if slab_bytes < 1:
-            raise ValueError("slab_bytes must be >= 1")
         if isinstance(backend, Backend):
             self._backend_obj: Backend | None = backend
             backend = backend.name
@@ -182,22 +134,13 @@ class BatchPipeline:
             raise ValueError(
                 f"unknown prefetch backend {backend!r}; known: {sorted(BACKEND_REGISTRY)}"
             )
-        if transport == "shm" and not BACKEND_REGISTRY[backend].needs_pickling:
-            raise ValueError(
-                f"transport='shm' requires a pickling backend; {backend!r} hands over "
-                "in-process references already"
-            )
         self._batches = batches
         self._prepare = BatchPreparer(num_layers, pruning, aggregator_factory, edge_level)
         self._enabled = enabled
         self._prefetch = prefetch
         self._backend = backend
         self._workers = workers
-        self._transport = transport
-        self._slab_bytes = slab_bytes
         self._timers = timers if timers is not None else TimerRegistry()
-        self.shm_batches = 0
-        self.inband_batches = 0
 
     # ----------------------------------------------------------- internals
     def _record(self, seconds: float) -> None:
@@ -259,25 +202,7 @@ class BatchPipeline:
         def producer():
             owns = self._backend_obj is None
             backend = self._backend_obj or make_backend(self._backend, self._workers)
-            use_shm = self._transport == "shm" or (
-                self._transport == "auto" and backend.needs_pickling
-            )
-            slabs = []
             try:
-                if use_shm:
-                    # Lazy: repro.ps imports the trainer package (circular).
-                    from repro.ps.shm import BatchSlab, ShmBatchRef, slab_load
-
-                    # One slab per window slot, reused every window.  Safe
-                    # because each window's results are fully drained (and
-                    # slab-loaded into private memory) before the next
-                    # ``execute`` can overwrite a slot.
-                    slabs = [BatchSlab(self._slab_bytes) for _ in range(self._workers)]
-                    by_name = {slab.name: slab for slab in slabs}
-                    preparers = [
-                        _SlabPreparer(self._prepare, slab.name, slab.capacity)
-                        for slab in slabs
-                    ]
                 window: list = []
                 batch_iter = iter(self._batches)
                 exhausted = False
@@ -292,28 +217,15 @@ class BatchPipeline:
                     if not window:
                         break
                     tasks = [
-                        (
-                            f"prefetch-{i}",
-                            preparers[i] if use_shm else self._prepare,
-                            (batch,),
-                        )
+                        (f"prefetch-{i}", self._prepare, (batch,))
                         for i, batch in enumerate(window)
                     ]
-                    for first, labels, seconds in backend.execute(tasks, plain_retrier):
+                    for inputs, labels, seconds in backend.execute(tasks, plain_retrier):
                         self._record(seconds)
-                        if use_shm and isinstance(first, ShmBatchRef):
-                            inputs, labels = slab_load(first, by_name[first.slab].buf)
-                            self.shm_batches += 1
-                        else:
-                            inputs = first
-                            if use_shm:
-                                self.inband_batches += 1
                         out.put((inputs, labels))
             except BaseException as exc:
                 error.append(exc)
             finally:
-                for slab in slabs:
-                    slab.close()
                 if owns:
                     backend.close()
                 out.put(_SENTINEL)

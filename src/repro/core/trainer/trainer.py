@@ -20,13 +20,13 @@ worker role; used by the Figure 7/8 experiments).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.trainer.dataset import SampleSource, as_sample_source
 from repro.core.trainer.partition import partitioned_backend_factory
-from repro.core.trainer.pipeline import PREFETCH_TRANSPORTS, BatchPipeline
+from repro.core.trainer.pipeline import BatchPipeline
 from repro.core.trainer.vectorize import TrainSample, decode_samples
 from repro.mapreduce.backends import BACKEND_REGISTRY, make_backend
 from repro.metrics import accuracy, hits_at_k, micro_f1, roc_auc
@@ -64,14 +64,6 @@ class TrainerConfig:
     preprocessing across cores while the main process trains."""
     prefetch_workers: int = 1
     """Worker count for the preprocessing pool."""
-    prefetch_transport: str = "auto"
-    """How prepared batches return from pool workers (see
-    ``repro.core.trainer.pipeline.PREFETCH_TRANSPORTS``): ``auto`` uses
-    shared-memory slabs whenever the pool crosses a process boundary,
-    ``shm``/``pickle`` force a path."""
-    prefetch_slab_bytes: int = 64 << 20
-    """Per-slot slab capacity for the shm transport; batches that outgrow
-    it fall back to the pickle pipe for that batch only."""
     shuffle: bool = True
     seed: int = 0
     early_stopping_patience: int | None = None
@@ -94,19 +86,6 @@ class TrainerConfig:
             )
         if self.prefetch_workers < 1:
             raise ValueError("prefetch_workers must be >= 1")
-        if self.prefetch_transport not in PREFETCH_TRANSPORTS:
-            raise ValueError(
-                f"prefetch_transport must be one of {PREFETCH_TRANSPORTS}"
-            )
-        if self.prefetch_transport == "shm" and not BACKEND_REGISTRY[
-            self.prefetch_backend
-        ].needs_pickling:
-            raise ValueError(
-                "prefetch_transport='shm' requires a pickling prefetch_backend "
-                "(e.g. 'processes')"
-            )
-        if self.prefetch_slab_bytes < 1:
-            raise ValueError("prefetch_slab_bytes must be >= 1")
 
 
 class GraphTrainer:
@@ -182,8 +161,6 @@ class GraphTrainer:
             timers=self.timers,
             backend=self._prefetch_backend(),
             workers=self.config.prefetch_workers,
-            transport=self.config.prefetch_transport,
-            slab_bytes=self.config.prefetch_slab_bytes,
             edge_level=self._task_plugin is not None,
         )
 

@@ -45,7 +45,7 @@ from repro.mapreduce.fault import (
     TaskTimeoutError,
 )
 from repro.mapreduce.retry import PhaseMonitor, RetryPolicy
-from repro.mapreduce.fs import DistFileSystem
+from repro.mapreduce.fs import DistFileSystem, UncommittedDatasetError
 from repro.mapreduce.shuffle import decode_key, default_partition, key_bytes
 from repro.mapreduce.spill import SPILL_CODECS, SpillLayout, SpillWriteResult
 
@@ -67,6 +67,7 @@ __all__ = [
     "TaskTimeoutError",
     "WorkerCrashError",
     "DistFileSystem",
+    "UncommittedDatasetError",
     "PARTITIONERS",
     "HashPartitioner",
     "PartitionPlan",

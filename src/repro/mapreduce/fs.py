@@ -5,24 +5,21 @@ distributed file system", §3.2.1) and GraphInfer's inputs/outputs live here.
 The abstraction is deliberately thin — named sharded datasets — because that
 is all the paper's pipelines require of the real DFS.
 
-Two shard layouts exist (see ``repro.proto``):
+A dataset is a directory of ``part-NNNNN`` shards, each one mmap-able
+``AGLC`` frame of stacked matrices + offset tables
+(:mod:`repro.proto.columnar`), plus a ``_META.json`` sidecar that commits
+it.  :meth:`DistFileSystem.read_dataset` and
+:meth:`~DistFileSystem.read_shard` yield wire records (re-encoded from the
+shard matrices on the fly), while :meth:`~DistFileSystem.open_shard`
+exposes the zero-copy reader.  The metadata records the record ``kind``
+(samples / predictions), the producing task and per-shard record counts,
+which is what makes :meth:`~DistFileSystem.count_records` O(1) and lets
+tooling dispatch on :meth:`~DistFileSystem.kind`.
 
-* ``row`` — each shard is a framed stream of per-record byte strings
-  (``repro.proto.stream``); simple, append-friendly, but consumers must
-  decode record by record.
-* ``columnar`` — each shard is one mmap-able ``AGLC`` frame of stacked
-  matrices + offset tables (``repro.proto.columnar``); trainers slice
-  batches out of the mapping instead of decoding.
-
-Reading is layout-transparent: :meth:`DistFileSystem.read_dataset` and
-:meth:`~DistFileSystem.read_shard` always yield row wire records (columnar
-shards re-encode on the fly, byte-identically), while
-:meth:`~DistFileSystem.open_shard` exposes the zero-copy columnar reader.
-A ``_META.json`` per dataset records the layout, the record ``kind``
-(samples / predictions), and per-shard record counts, which is what makes
-:meth:`~DistFileSystem.count_records` O(num_shards) instead of a full byte
-scan and lets tooling dispatch on :meth:`~DistFileSystem.kind` instead of
-sniffing record bytes.
+A directory without ``_META.json`` is a write that never committed (its
+job died between the shard writes and the commit), and one whose metadata
+says ``"layout": "row"`` predates the columnar format.  Every reader
+raises :class:`UncommittedDatasetError` for both.
 """
 
 from __future__ import annotations
@@ -32,27 +29,22 @@ import shutil
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from repro.proto.codec import CodecError
-from repro.proto.columnar import (
-    ColumnarShard,
-    shard_record_count,
-    write_prediction_shard,
-    write_sample_shard,
-)
-from repro.proto.stream import read_records, write_records
+from repro.proto.columnar import ColumnarShard, write_prediction_shard, write_sample_shard
 
-__all__ = ["DATASET_LAYOUTS", "DistFileSystem"]
+__all__ = ["DistFileSystem", "UncommittedDatasetError"]
 
-DATASET_LAYOUTS = ("row", "columnar")
 _META_NAME = "_META.json"
+
+
+class UncommittedDatasetError(OSError):
+    """A dataset directory holds no committed columnar dataset."""
 
 
 class DistFileSystem:
     """Sharded record datasets rooted at a local directory.
 
-    A *dataset* is a directory of ``part-NNNNN`` files plus a ``_META.json``
-    sidecar.  Shards are the unit of parallelism for downstream consumers
-    (training workers read disjoint shard subsets).
+    Shards are the unit of parallelism for downstream consumers (training
+    workers read disjoint shard subsets).
     """
 
     def __init__(self, root: str | Path):
@@ -70,21 +62,16 @@ class DistFileSystem:
         name: str,
         records: Iterable,
         num_shards: int = 1,
-        layout: str = "row",
         kind: str = "samples",
         task: str | None = None,
     ) -> int:
-        """Write ``records`` into ``num_shards`` contiguous part files.
+        """Write ``records`` into ``num_shards`` contiguous columnar shards.
 
-        With ``layout="row"``, records are wire-format ``bytes``.  With
-        ``layout="columnar"``, records may be wire bytes *or* structured
-        records — ``(target_id, label, GraphFeature)`` triples for
-        ``kind="samples"``, ``(node_id, scores)`` pairs for
-        ``kind="predictions"`` — which lets producers skip the per-record
-        framing pass entirely.  Shards are contiguous, balanced (±1) chunks
-        of the input sequence, so a shard-major read reproduces the input
-        order exactly — the same global record stream a reducer-owned write
-        of the same partitions would produce (only shard boundaries differ).
+        Records are wire bytes or structured records —
+        ``(target_id, label, GraphFeature)`` triples for ``kind="samples"``,
+        ``(node_id, scores)`` pairs for ``kind="predictions"``.  Shards are
+        contiguous, balanced (±1) chunks of the input, so a shard-major read
+        reproduces the input order exactly.
 
         Returns the record count.  Overwrites any existing dataset of the
         same name (jobs are idempotent: re-running a failed job replaces
@@ -92,29 +79,19 @@ class DistFileSystem:
         """
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if layout not in DATASET_LAYOUTS:
-            raise ValueError(f"layout must be one of {DATASET_LAYOUTS}, got {layout!r}")
+        write = write_prediction_shard if kind == "predictions" else write_sample_shard
+        extra = {} if kind == "predictions" else {"task": task}
         directory = self.prepare_dataset(name)
         everything = list(records)
-        count = len(everything)
-        size, extra = divmod(count, num_shards)
+        size, rest = divmod(len(everything), num_shards)
         counts = []
         start = 0
         for shard in range(num_shards):
-            end = start + size + (1 if shard < extra else 0)
-            bucket = everything[start:end]
+            end = start + size + (1 if shard < rest else 0)
+            counts.append(write(directory / f"part-{shard:05d}", everything[start:end], **extra))
             start = end
-            path = directory / f"part-{shard:05d}"
-            if layout == "row":
-                counts.append(write_records(path, bucket))
-            elif kind == "predictions":
-                counts.append(write_prediction_shard(path, bucket))
-            else:
-                counts.append(write_sample_shard(path, bucket, task=task))
-        self.finalize_dataset(
-            name, layout=layout, kind=kind, record_counts=counts, task=task
-        )
-        return count
+        self.finalize_dataset(name, kind=kind, record_counts=counts, task=task)
+        return len(everything)
 
     def prepare_dataset(self, name: str) -> Path:
         """Clear + create a dataset directory for out-of-band shard writes.
@@ -122,8 +99,8 @@ class DistFileSystem:
         The reducer-owned sink path: the parent prepares the directory, the
         final-round reducers each write their own ``part-NNNNN`` shard into
         it, and the parent commits with :meth:`finalize_dataset`.  A crash
-        in between leaves a directory without ``_META.json``, which the next
-        (idempotent) run clears and rewrites."""
+        in between leaves a directory without ``_META.json``, which readers
+        reject and the next (idempotent) run clears and rewrites."""
         directory = self._dataset_dir(name)
         if directory.exists():
             shutil.rmtree(directory)
@@ -133,7 +110,6 @@ class DistFileSystem:
     def finalize_dataset(
         self,
         name: str,
-        layout: str,
         kind: str,
         record_counts: list[int],
         task: str | None = None,
@@ -141,109 +117,71 @@ class DistFileSystem:
         """Commit a dataset whose shards were written out-of-band
         (:meth:`prepare_dataset`) by recording its ``_META.json``.
 
-        ``kind`` is recorded for every layout (row included) so consumers
-        can dispatch on it instead of sniffing record bytes.  ``task``
-        (when known) records which task plugin produced the samples —
-        datasets written before the task layer simply lack the field and
-        resolve through :meth:`task`'s legacy fallback."""
-        if layout not in DATASET_LAYOUTS:
-            raise ValueError(f"layout must be one of {DATASET_LAYOUTS}, got {layout!r}")
-        directory = self._dataset_dir(name)
+        ``task`` (when known) records which task plugin produced the
+        samples; node classification records nothing, so its metadata stays
+        byte-identical to datasets written before the task layer."""
         meta = {
-            "layout": layout,
+            "layout": "columnar",
             "kind": kind,
             "record_counts": list(record_counts),
             "total_records": int(sum(record_counts)),
         }
         if task is not None:
             meta["task"] = task
-        (directory / _META_NAME).write_text(json.dumps(meta, sort_keys=True))
+        path = self._dataset_dir(name) / _META_NAME
+        path.write_text(json.dumps(meta, sort_keys=True))
 
     # -------------------------------------------------------------- reading
-    def shards(self, name: str) -> list[Path]:
-        """Sorted shard paths of a dataset (raises if absent)."""
+    def _meta(self, name: str) -> dict:
+        """The commit record of a dataset; raises for absent datasets
+        (``FileNotFoundError``) and uncommitted or row-layout ones
+        (:class:`UncommittedDatasetError`)."""
         directory = self._dataset_dir(name)
         if not directory.is_dir():
             raise FileNotFoundError(f"dataset {name!r} not found under {self.root}")
-        return sorted(directory.glob("part-*"))
-
-    @staticmethod
-    def _shard_records(path: Path, layout: str) -> Iterator[bytes]:
-        if layout == "columnar":
-            yield from ColumnarShard(path).iter_wire()
+        path = directory / _META_NAME
+        if not path.is_file():
+            problem = f"has no {_META_NAME} (its writing job never committed)"
         else:
-            yield from read_records(path)
+            meta = json.loads(path.read_text())
+            if meta.get("layout") == "columnar":
+                return meta
+            problem = f"has layout {meta.get('layout')!r}; only columnar shards are readable"
+        raise UncommittedDatasetError(
+            f"dataset {name!r} under {self.root} {problem}; "
+            "re-run the job that writes it"
+        )
+
+    def shards(self, name: str) -> list[Path]:
+        """Sorted shard paths of a committed dataset."""
+        self._meta(name)
+        return sorted(self._dataset_dir(name).glob("part-*"))
 
     def read_dataset(self, name: str) -> Iterator[bytes]:
-        """Yield every record of every shard, shard order then record order.
-
-        Layout-transparent: columnar shards are re-encoded to the row wire
-        form on the fly (byte-identical to a row write of the same records).
-        """
-        layout = self.layout(name)  # resolved once, not per shard
-        for path in self.shards(name):
-            yield from self._shard_records(path, layout)
+        """Every record of every shard, shard order then record order, as
+        wire records.  The dataset is checked on call, not on first read."""
+        paths = self.shards(name)
+        return (record for path in paths for record in ColumnarShard(path).iter_wire())
 
     def read_shard(self, name: str, shard_index: int) -> Iterator[bytes]:
-        shards = self.shards(name)
-        if not 0 <= shard_index < len(shards):
-            raise IndexError(f"dataset {name!r} has {len(shards)} shards")
-        yield from self._shard_records(shards[shard_index], self.layout(name))
+        return self.open_shard(name, shard_index).iter_wire()
 
     def open_shard(self, name: str, shard_index: int) -> ColumnarShard:
-        """Zero-copy :class:`ColumnarShard` reader (columnar datasets only)."""
-        if self.layout(name) != "columnar":
-            raise ValueError(
-                f"dataset {name!r} has row layout; open_shard needs columnar"
-            )
+        """Zero-copy :class:`ColumnarShard` reader of one shard."""
         shards = self.shards(name)
         if not 0 <= shard_index < len(shards):
             raise IndexError(f"dataset {name!r} has {len(shards)} shards")
         return ColumnarShard(shards[shard_index])
 
     # ------------------------------------------------------------- metadata
-    def _meta(self, name: str) -> dict | None:
-        path = self._dataset_dir(name) / _META_NAME
-        if not path.is_file():
-            return None
-        return json.loads(path.read_text())
-
-    def layout(self, name: str) -> str:
-        """Shard layout of a dataset; pre-metadata datasets default to row."""
-        meta = self._meta(name)
-        if meta is None:
-            self.shards(name)  # raise FileNotFoundError for absent datasets
-            return "row"
-        return meta["layout"]
-
-    def kind(self, name: str) -> str | None:
+    def kind(self, name: str) -> str:
         """Record kind of a dataset (``samples`` / ``predictions``).
-
-        Resolved from ``_META.json`` when recorded; columnar datasets
-        written before kinds landed in the metadata fall back to the shard
-        header (a corrupt header raises — corruption is never silently
-        re-labelled).  Returns ``None`` only for legacy row datasets with
-        nothing recorded anywhere, where callers may sniff record bytes.
-        """
+        Metadata committed before kinds were recorded falls back to the
+        first shard's header (a corrupt header raises)."""
         meta = self._meta(name)
-        if meta is not None and "kind" in meta:
+        if "kind" in meta:
             return meta["kind"]
-        shards = self.shards(name)  # raises for absent datasets
-        if not shards:
-            return None
-        if meta is not None and meta.get("layout") == "columnar":
-            return ColumnarShard(shards[0]).kind  # corruption raises
-        if meta is None:
-            # No metadata at all: a columnar shard still self-describes;
-            # anything that is not one is a legacy row shard.
-            try:
-                return ColumnarShard(shards[0]).kind
-            except CodecError:
-                return None
-        return None
-
-    def exists(self, name: str) -> bool:
-        return self._dataset_dir(name).is_dir()
+        return ColumnarShard(self.shards(name)[0]).kind
 
     def task(self, name: str) -> str | None:
         """Recorded task kind of a dataset, or ``None`` when absent.
@@ -253,26 +191,17 @@ class DistFileSystem:
         either a legacy dataset or the node-classification default —
         callers render both as ``node_classification``.
         """
-        meta = self._meta(name)
-        if meta is None:
-            return None
-        return meta.get("task")
+        return self._meta(name).get("task")
+
+    def exists(self, name: str) -> bool:
+        return self._dataset_dir(name).is_dir()
 
     def num_shards(self, name: str) -> int:
         return len(self.shards(name))
 
     def count_records(self, name: str) -> int:
-        """Dataset record count — O(1) from metadata when available,
-        O(num_shards) from columnar headers, full scan only for legacy
-        row datasets written without metadata."""
-        meta = self._meta(name)
-        if meta is not None:
-            return int(meta["total_records"])
-        shards = self.shards(name)
-        try:
-            return sum(shard_record_count(p) for p in shards)
-        except CodecError:  # legacy row shards: no header to consult
-            return sum(1 for _ in self.read_dataset(name))
+        """Dataset record count, O(1) from the metadata."""
+        return int(self._meta(name)["total_records"])
 
     def size_bytes(self, name: str) -> int:
         return sum(p.stat().st_size for p in self.shards(name))

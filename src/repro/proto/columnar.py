@@ -1,13 +1,13 @@
 """Columnar shard frame — the mmap-able training-dataset layout.
 
-The row format (``repro.proto.stream``) frames every sample as its own byte
-string, so a trainer must run the varint decoder record by record in a
-single GIL-bound thread before it can build a batch — the storage layer caps
-the trainer no matter how many cores exist.  This module is the columnar
-alternative (the GraphStorm/GiGL route): one shard holds *stacked* matrices
-for a whole block of samples plus int64 offset tables, so a reader mmaps the
-file once and materialises any sample — or a whole batch — by slicing,
-with zero per-element decoding.
+Framing every sample as its own byte string would make a trainer run the
+varint decoder record by record in a single GIL-bound thread before it
+can build a batch — the storage layer would cap the trainer no matter how
+many cores exist.  This module is the columnar layout instead (the
+GraphStorm/GiGL route): one shard holds *stacked* matrices for a whole
+block of samples plus int64 offset tables, so a reader mmaps the file once
+and materialises any sample — or a whole batch — by slicing, with zero
+per-element decoding.
 
 File layout::
 
@@ -29,9 +29,9 @@ file.  Two kinds exist:
   ``scores`` matrix.
 
 Round-trip fidelity is the contract: :meth:`ColumnarShard.iter_wire`
-re-encodes every record through the row codec and is byte-identical to what
-the row layout would have written for the same records — which is what lets
-``DistFileSystem.read_dataset`` stay layout-transparent.
+re-encodes every record through the wire codec, byte-identical to the
+in-memory encoding of the same records — which is what
+``DistFileSystem.read_dataset`` yields.
 """
 
 from __future__ import annotations
@@ -411,12 +411,8 @@ class ColumnarShard:
 
     # -------------------------------------------------------------- compat
     def iter_wire(self):
-        """Yield every record re-encoded to its row wire form.
-
-        Byte-identical to what the row layout would hold for the same
-        records — the compatibility bridge that keeps ``read_dataset``
-        layout-transparent (tested).
-        """
+        """Yield every record re-encoded to its wire form, byte-identical
+        to the in-memory encoding of the same records (tested)."""
         if self.kind == "samples":
             for i in range(self.num_records):
                 target_id, label, gf = self.sample(i)

@@ -243,12 +243,7 @@ class DistributedTrainer:
         fs = DistFileSystem(tmp)
         fs.write_dataset(
             "train",
-            (
-                (s.target_id, s.label, s.graph_feature)
-                for s in source.iter_samples()
-            ),
-            num_shards=1,
-            layout="columnar",
+            ((s.target_id, s.label, s.graph_feature) for s in source.iter_samples()),
         )
         dataset = ColumnarDataset([str(p) for p in fs.shards("train")])
         return dataset, tmp

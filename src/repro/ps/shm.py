@@ -36,22 +36,12 @@ through picklable :class:`SlabSlice` locators by any number of attaching
 processes.  GraphInfer uses it to ship model slices to reducers without a
 single serialized parameter byte per task (see
 ``repro.core.infer.segmentation``).
-
-:class:`BatchSlab` + :func:`slab_dump` / :func:`slab_load` run the slabs in
-the *opposite* direction: a prefetch worker pickles its prepared batch with
-protocol 5, diverts every out-of-band buffer (the numpy blocks — virtually
-all of the bytes) into a parent-owned reusable slab, and ships back only a
-small :class:`ShmBatchRef`; the parent rebuilds the object with one bulk
-copy out of the slab.  Array aliasing inside the batch (e.g. an edge-index
-array shared between blocks and a prepared aggregator) survives because
-pickle's memo handles it — the slab carries each distinct buffer once.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import pickle
 import queue as queue_mod
 import threading
 import time
@@ -65,17 +55,13 @@ import numpy as np
 from repro.nn.module import StateLayout
 
 __all__ = [
-    "BatchSlab",
     "BytesBroadcast",
-    "ShmBatchRef",
     "ShmPSClient",
     "ShmTransport",
     "SlabBroadcast",
     "SlabSlice",
     "attach_shared_memory",
     "mp_context",
-    "slab_dump",
-    "slab_load",
 ]
 
 _HEADER_INT64S = 8
@@ -148,39 +134,21 @@ def attach_shared_memory(name: str) -> shared_memory.SharedMemory:
 
 _ATTACH_CACHE: dict[str, shared_memory.SharedMemory] = {}
 _ATTACH_CACHE_MAX = 16
-"""Bounded FIFO.  Sized for a prefetch pool's worth of per-slot batch slabs
-plus a model broadcast or two — a worker that cycles every slab of one run
-must never thrash the cache."""
+"""Bounded FIFO, sized so a worker attaching the model-slice broadcasts of
+a few runs never thrashes."""
 _ATTACH_LOCK = threading.Lock()
 
 
-def _attach_segment_locked(name: str) -> shared_memory.SharedMemory:
-    """Cache lookup/attach for a named slab.  ``_ATTACH_LOCK`` must be held.
+def _attach_view(name: str, size: int, byte_offset: int) -> np.ndarray:
+    """Attach to a broadcast slab (cached per process) and return a float32
+    view into it.
 
     The cache means a worker process that runs many tasks against the same
     slab maps it once, not once per task.  Eviction is oldest-first (dict
     insertion order); a mapping whose views are still exported cannot be
     closed — re-queue it as most-recent and keep the handle instead of
     leaking an unclosable segment; the cache may transiently exceed the cap
-    while everything is pinned."""
-    seg = _ATTACH_CACHE.get(name)
-    if seg is None:
-        for stale in list(_ATTACH_CACHE):
-            if len(_ATTACH_CACHE) < _ATTACH_CACHE_MAX:
-                break
-            old = _ATTACH_CACHE.pop(stale)
-            try:
-                old.close()
-            except BufferError:  # live views into the mapping
-                _ATTACH_CACHE[stale] = old
-        seg = attach_shared_memory(name)
-        _ATTACH_CACHE[name] = seg
-    return seg
-
-
-def _attach_view(name: str, size: int, byte_offset: int) -> np.ndarray:
-    """Attach to a broadcast slab (cached per process) and return a float32
-    view into it.
+    while everything is pinned.
 
     Everything — lookup, eviction, attach, *and* view construction —
     happens under one lock hold: reducers on the threads backend
@@ -189,7 +157,18 @@ def _attach_view(name: str, size: int, byte_offset: int) -> np.ndarray:
     eviction's ``close()``; a view built outside the lock could race an
     eviction and read a closed segment."""
     with _ATTACH_LOCK:
-        seg = _attach_segment_locked(name)
+        seg = _ATTACH_CACHE.get(name)
+        if seg is None:
+            for stale in list(_ATTACH_CACHE):
+                if len(_ATTACH_CACHE) < _ATTACH_CACHE_MAX:
+                    break
+                old = _ATTACH_CACHE.pop(stale)
+                try:
+                    old.close()
+                except BufferError:  # live views into the mapping
+                    _ATTACH_CACHE[stale] = old
+            seg = attach_shared_memory(name)
+            _ATTACH_CACHE[name] = seg
         return np.ndarray(
             (size,), dtype=np.float32, buffer=seg.buf, offset=byte_offset
         )
@@ -278,44 +257,6 @@ class SlabBroadcast:
         self.close()
 
 
-class BatchSlab:
-    """Parent-owned reusable raw-byte slab for prefetch batch handoff.
-
-    The trainer's prefetch pool creates one per in-flight window slot and
-    keeps reusing it: every window, the worker driving that slot overwrites
-    the slab with the out-of-band buffers of its freshly prepared batch
-    (:func:`slab_dump`) and the parent drains it (:func:`slab_load`) before
-    the slot is reissued.  Ownership mirrors :class:`SlabBroadcast`: only
-    the creating process unlinks, with a ``weakref.finalize`` backstop."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("slab capacity must be >= 1 byte")
-        self.capacity = int(capacity)
-        self._seg = shared_memory.SharedMemory(create=True, size=self.capacity)
-        self.name = self._seg.name
-        self._closed = False
-        self._finalizer = weakref.finalize(self, _release_segments, self._seg, [])
-
-    @property
-    def buf(self) -> memoryview:
-        return self._seg.buf
-
-    def close(self) -> None:
-        """Unlink the slab (idempotent); lingering worker mappings stay
-        valid until they unmap, but no new attach can succeed."""
-        if self._closed:
-            return
-        self._closed = True
-        self._finalizer()
-
-    def __enter__(self) -> "BatchSlab":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 class BytesBroadcast:
     """Publish one immutable byte payload into a named shared-memory slab.
 
@@ -355,78 +296,6 @@ class BytesBroadcast:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-@dataclass(frozen=True)
-class ShmBatchRef:
-    """Locator for a batch parked in a :class:`BatchSlab`.
-
-    ``payload`` is the pickle-protocol-5 stream with every contiguous
-    buffer diverted out-of-band; ``spans`` gives each diverted buffer's
-    ``(offset, length)`` inside the slab, in ``buffer_callback`` order —
-    the order :func:`slab_load` must feed them back to ``pickle.loads``."""
-
-    slab: str
-    payload: bytes
-    spans: tuple[tuple[int, int], ...]
-
-    @property
-    def slab_bytes(self) -> int:
-        return sum(length for _, length in self.spans)
-
-
-_SLAB_ALIGN = 64
-
-
-def slab_dump(obj: object, slab_name: str, capacity: int) -> ShmBatchRef | None:
-    """Worker side: park ``obj``'s bulk bytes in the named slab.
-
-    Pickles with protocol 5, writing every out-of-band buffer back-to-back
-    (64-byte aligned) into the slab, and returns a small
-    :class:`ShmBatchRef` for the parent.  Returns ``None`` — caller ships
-    the object in-band instead — when the buffers don't fit ``capacity``;
-    determinism of the fallback matters more than squeezing edge cases."""
-    buffers: list[pickle.PickleBuffer] = []
-    payload = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    spans: list[tuple[int, int]] = []
-    raws: list[memoryview] = []
-    offset = 0
-    for pb in buffers:
-        try:
-            raw = pb.raw()
-        except BufferError:  # non-contiguous exporter; ship in-band
-            return None
-        offset = -(-offset // _SLAB_ALIGN) * _SLAB_ALIGN
-        spans.append((offset, raw.nbytes))
-        raws.append(raw)
-        offset += raw.nbytes
-    if offset > capacity:
-        return None
-    with _ATTACH_LOCK:
-        seg = _attach_segment_locked(slab_name)
-        buf = seg.buf
-        for (off, length), raw in zip(spans, raws):
-            buf[off : off + length] = raw.cast("B")
-    return ShmBatchRef(slab_name, payload, tuple(spans))
-
-
-def slab_load(ref: ShmBatchRef, buf: memoryview) -> object:
-    """Parent side: rebuild the object :func:`slab_dump` parked.
-
-    One bulk copy out of the slab into a private bytearray, then
-    ``pickle.loads`` with writable views into that copy — the slab can be
-    overwritten by the next window the moment this returns, and the
-    reconstructed arrays are backed by private memory, not the slab."""
-    total = sum(length for _, length in ref.spans)
-    private = bytearray(total)
-    views: list[memoryview] = []
-    mv = memoryview(private)
-    pos = 0
-    for off, length in ref.spans:
-        private[pos : pos + length] = buf[off : off + length]
-        views.append(mv[pos : pos + length])
-        pos += length
-    return pickle.loads(ref.payload, buffers=views)
 
 
 class _CtrlChannel:

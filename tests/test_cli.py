@@ -180,7 +180,7 @@ class TestDescribe:
 
     @pytest.fixture()
     def inferred(self, workspace, capsys):
-        """A trained model plus prediction datasets in both layouts."""
+        """A trained model plus its prediction dataset."""
         tmp_path, ds = workspace
         dfs = str(tmp_path / "dfs")
         main([
@@ -194,35 +194,25 @@ class TestDescribe:
             "--model-out", str(tmp_path / "model.pkl"),
             "--epochs", "1", "--hidden", "8", "--dfs", dfs,
         ])
-        for layout in ("columnar", "row"):
-            main([
-                "graphinfer", "-m", str(tmp_path / "model.pkl"),
-                "-n", str(tmp_path / "nodes.tsv"), "-e", str(tmp_path / "edges.tsv"),
-                "--max-neighbors", "20", "--output", f"scores/{layout}",
-                "--dfs", dfs, "--workers", "1", "--dataset-layout", layout,
-            ])
+        main([
+            "graphinfer", "-m", str(tmp_path / "model.pkl"),
+            "-n", str(tmp_path / "nodes.tsv"), "-e", str(tmp_path / "edges.tsv"),
+            "--max-neighbors", "20", "--output", "scores/columnar",
+            "--dfs", dfs, "--workers", "1",
+        ])
         capsys.readouterr()
         return tmp_path, dfs
 
-    @pytest.mark.parametrize("layout", ["columnar", "row"])
+    @pytest.mark.parametrize("layout", ["columnar"])
     def test_describe_predictions_dispatches_on_metadata(self, inferred, capsys, layout):
-        """Prediction datasets are recognised from the recorded kind in both
-        layouts — no decode-and-see sniffing involved."""
+        """Prediction datasets are recognised from the recorded kind — no
+        decode-and-see sniffing involved."""
         _, dfs = inferred
         rc = main(["describe", f"scores/{layout}", "--dfs", dfs])
         out = capsys.readouterr().out
         assert rc == 0
         assert "kind:     predictions" in out
-
-    def test_describe_legacy_row_predictions_sniffed(self, inferred, capsys):
-        """A row dataset with no _META.json (pre-metadata era) still gets
-        classified — by wire format, the only option left."""
-        tmp_path, dfs = inferred
-        (tmp_path / "dfs" / "scores/row" / "_META.json").unlink()
-        rc = main(["describe", "scores/row", "--dfs", dfs])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "kind:     predictions" in out
+        assert "transport:" not in out  # describe runs no shuffle
 
     def test_describe_corrupt_shard_raises(self, inferred, capsys):
         """Regression: a corrupt sample dataset used to be silently
@@ -239,31 +229,31 @@ class TestDescribe:
             main(["describe", "flat/train", "--dfs", dfs])
 
     def test_describe_corrupt_legacy_row_raises(self, inferred, capsys):
-        """Sniffing a legacy (meta-less) row dataset must not misfile a
-        corrupt sample record as predictions: decode_prediction is strict
-        about the payload length, so garbage raises instead."""
-        from repro.proto.codec import CodecError
+        """A legacy row dataset (metadata says ``"layout": "row"``) is not
+        sniffed into some kind: describe raises the typed error that says
+        to re-run the job."""
+        import json
+
+        from repro.mapreduce import UncommittedDatasetError
 
         tmp_path, dfs = inferred
         fs = DistFileSystem(dfs)
-        # rebuild flat/train as a legacy row dataset with a truncated
-        # (corrupt) first record and no metadata
-        records = list(fs.read_dataset("flat/train"))
-        records[0] = records[0][:-3]
-        fs.write_dataset("flat/legacy", records, num_shards=1)
-        (tmp_path / "dfs" / "flat/legacy" / "_META.json").unlink()
-        with pytest.raises(CodecError):
+        fs.write_dataset("flat/legacy", list(fs.read_dataset("flat/train")))
+        meta_path = tmp_path / "dfs" / "flat/legacy" / "_META.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "layout": "row"}))
+        with pytest.raises(UncommittedDatasetError, match="re-run the job"):
             main(["describe", "flat/legacy", "--dfs", dfs])
 
-    def test_graphinfer_slice_transport_flag(self, inferred, capsys):
-        """--slice-transport shm works from the CLI (even single-process)
-        and the resolved transport is reported."""
+    def test_graphinfer_reports_backend_slice_transport(self, inferred, capsys):
+        """The processes backend ships model slices through a shm slab, and
+        the CLI reports it; the scores equal the in-process run's."""
         tmp_path, dfs = inferred
         rc = main([
             "graphinfer", "-m", str(tmp_path / "model.pkl"),
             "-n", str(tmp_path / "nodes.tsv"), "-e", str(tmp_path / "edges.tsv"),
             "--max-neighbors", "20", "--output", "scores/shm",
-            "--dfs", dfs, "--workers", "1", "--slice-transport", "shm",
+            "--dfs", dfs, "--backend", "processes", "--workers", "2",
         ])
         out = capsys.readouterr().out
         assert rc == 0
@@ -272,3 +262,17 @@ class TestDescribe:
         assert list(fs.read_dataset("scores/shm")) == list(
             fs.read_dataset("scores/columnar")
         )
+
+    @pytest.mark.parametrize("command", ["graphtrainer", "describe"])
+    def test_mapreduce_flags_only_on_pipelines(self, inferred, command):
+        """Only graphflat and graphinfer run MapReduce jobs, so the other
+        commands reject its flags instead of silently ignoring them."""
+        tmp_path, dfs = inferred
+        if command == "graphtrainer":
+            argv = ["graphtrainer", "-m", "gcn", "-i", "flat/train",
+                    "--model-out", str(tmp_path / "m2.pkl"), "--dfs", dfs]
+        else:
+            argv = ["describe", "flat/train", "--dfs", dfs]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--backend", "processes", "--task-timeout", "1"])
+        assert exc.value.code == 2

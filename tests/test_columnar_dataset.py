@@ -1,7 +1,9 @@
-"""Columnar shard format + layout-aware dataset path: codec round-trips,
-byte-identity with the row layout, O(num_shards) counting, trainer-ingest
-numerical identity across layouts x prefetch backends, and the worker-pool
-prefetch pipeline."""
+"""Columnar shard format + the DFS dataset path: codec round-trips,
+byte-identity with the in-memory output, O(1) counting, the typed error for
+uncommitted datasets, trainer-ingest numerical identity across sources x
+prefetch backends, and the worker-pool prefetch pipeline."""
+
+import json
 
 import numpy as np
 import pytest
@@ -14,12 +16,13 @@ from repro.core.trainer import (
     GraphTrainer,
     MemorySamples,
     TrainerConfig,
+    as_sample_source,
     decode_samples,
     open_sample_source,
 )
-from repro.mapreduce import DistFileSystem
+from repro.mapreduce import DistFileSystem, UncommittedDatasetError
 from repro.nn.gnn import GCNModel
-from repro.proto.codec import decode_prediction, decode_sample
+from repro.proto.codec import decode_prediction, decode_sample, encode_prediction
 from repro.proto.columnar import ColumnarShard, shard_record_count, write_sample_shard
 
 
@@ -96,93 +99,143 @@ class TestColumnarShard:
 
 class TestFilesystemLayouts:
     def test_read_dataset_layout_transparent(self, tmp_path, flat_cora):
+        """Columnar shards read back as the wire records they were written
+        from, dataset-wide and shard by shard."""
         fs = DistFileSystem(tmp_path)
-        fs.write_dataset("row", flat_cora, num_shards=3)
-        fs.write_dataset(
-            "col", [decode_sample(r) for r in flat_cora], num_shards=3, layout="columnar"
-        )
-        assert fs.layout("row") == "row"
-        assert fs.layout("col") == "columnar"
-        assert list(fs.read_dataset("col")) == list(fs.read_dataset("row"))
-        assert [len(list(fs.read_shard("col", i))) for i in range(3)] == [
-            len(list(fs.read_shard("row", i))) for i in range(3)
+        fs.write_dataset("col", [decode_sample(r) for r in flat_cora], num_shards=3)
+        assert list(fs.read_dataset("col")) == list(flat_cora)
+        per_shard = [list(fs.read_shard("col", i)) for i in range(3)]
+        assert [len(shard) for shard in per_shard] == [
+            len(flat_cora) // 3 + (i < len(flat_cora) % 3) for i in range(3)
         ]
+        assert sum(per_shard, []) == list(flat_cora)
 
     def test_count_records_uses_metadata(self, tmp_path, flat_cora):
         fs = DistFileSystem(tmp_path)
-        for layout in ("row", "columnar"):
-            fs.write_dataset(f"d/{layout}", flat_cora, num_shards=3, layout=layout)
-            assert fs.count_records(f"d/{layout}") == len(flat_cora)
-        # Columnar headers still answer in O(num_shards) without metadata;
-        # legacy row datasets fall back to the scan.
-        for layout in ("row", "columnar"):
-            (tmp_path / f"d/{layout}" / "_META.json").unlink()
-            assert fs.count_records(f"d/{layout}") == len(flat_cora)
+        fs.write_dataset("d", flat_cora, num_shards=3)
+        assert fs.count_records("d") == len(flat_cora)
+        (tmp_path / "d" / "_META.json").unlink()
+        with pytest.raises(UncommittedDatasetError):
+            fs.count_records("d")
 
     def test_open_shard_requires_columnar(self, tmp_path, flat_cora):
         fs = DistFileSystem(tmp_path)
-        fs.write_dataset("row", flat_cora, num_shards=2)
-        with pytest.raises(ValueError):
-            fs.open_shard("row", 0)
-        fs.write_dataset("col", flat_cora, num_shards=2, layout="columnar")
+        fs.write_dataset("col", flat_cora, num_shards=2)
         assert len(fs.open_shard("col", 0)) + len(fs.open_shard("col", 1)) == len(flat_cora)
+        _mark_row_layout(tmp_path / "col")
+        with pytest.raises(UncommittedDatasetError, match="'row'"):
+            fs.open_shard("col", 0)
 
-    def test_bad_layout_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            DistFileSystem(tmp_path).write_dataset("x", [], layout="diagonal")
-
-    def test_kind_recorded_for_every_layout(self, tmp_path, flat_cora):
+    def test_bad_layout_rejected(self, tmp_path, flat_cora):
         fs = DistFileSystem(tmp_path)
-        fs.write_dataset("row", flat_cora, num_shards=2)
-        fs.write_dataset(
-            "col", [decode_sample(r) for r in flat_cora], num_shards=2,
-            layout="columnar",
-        )
-        assert fs.kind("row") == "samples"
-        assert fs.kind("col") == "samples"
-        # columnar datasets survive metadata loss via the shard header;
-        # legacy row datasets genuinely have nothing recorded
-        for name in ("row", "col"):
-            (tmp_path / name / "_META.json").unlink()
-        assert fs.kind("col") == "samples"
-        assert fs.kind("row") is None
+        fs.write_dataset("x", flat_cora)
+        _mark_row_layout(tmp_path / "x")
+        with pytest.raises(UncommittedDatasetError, match="re-run the job"):
+            list(fs.read_dataset("x"))
+
+    def test_kind_recorded_for_every_layout(self, tmp_path, flat_cora, mini_cora):
+        """Both record kinds are recorded at commit; absent datasets stay a
+        ``FileNotFoundError``."""
+        fs = DistFileSystem(tmp_path)
+        fs.write_dataset("samples", flat_cora, num_shards=2)
+        preds = [(int(i), np.ones(3, dtype=np.float32)) for i in mini_cora.nodes.ids[:5]]
+        fs.write_dataset("preds", preds, num_shards=2, kind="predictions")
+        assert fs.kind("samples") == "samples"
+        assert fs.kind("preds") == "predictions"
         with pytest.raises(FileNotFoundError):
             fs.kind("absent")
 
 
+def _mark_row_layout(directory):
+    """Rewrite a dataset's commit record the way the retired row layout
+    wrote it."""
+    meta_path = directory / "_META.json"
+    meta = json.loads(meta_path.read_text())
+    meta["layout"] = "row"
+    meta_path.write_text(json.dumps(meta))
+
+
+class TestUncommittedDataset:
+    """A flattened dataset whose ``_META.json`` is gone (the job died before
+    its commit) raises one typed error from every reader."""
+
+    @pytest.fixture()
+    def uncommitted(self, mini_cora, tmp_path):
+        ds = mini_cora
+        fs = DistFileSystem(tmp_path / "dfs")
+        config = GraphFlatConfig(hops=1, max_neighbors=10)
+        graph_flat(ds.nodes, ds.edges, ds.train_ids[:20], config, fs=fs, dataset_name="d")
+        (tmp_path / "dfs" / "d" / "_META.json").unlink()
+        return fs
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda fs: fs.read_dataset("d"),
+            lambda fs: fs.read_shard("d", 0),
+            lambda fs: fs.open_shard("d", 0),
+            lambda fs: open_sample_source(fs, "d"),
+            lambda fs: fs.count_records("d"),
+            lambda fs: fs.kind("d"),
+            lambda fs: fs.task("d"),
+        ],
+        ids=[
+            "read_dataset", "read_shard", "open_shard", "open_sample_source",
+            "count_records", "kind", "task",
+        ],
+    )
+    def test_every_reader_raises(self, uncommitted, read):
+        with pytest.raises(UncommittedDatasetError, match="'d'.*re-run the job"):
+            read(uncommitted)
+
+    def test_describe_raises(self, uncommitted):
+        from repro.cli import main
+
+        with pytest.raises(UncommittedDatasetError, match="'d'"):
+            main(["describe", "d", "--dfs", str(uncommitted.root)])
+
+    def test_rerun_commits_again(self, uncommitted, mini_cora):
+        ds = mini_cora
+        graph_flat(
+            ds.nodes, ds.edges, ds.train_ids[:20], GraphFlatConfig(hops=1, max_neighbors=10),
+            fs=uncommitted, dataset_name="d",
+        )
+        assert uncommitted.count_records("d") == len(list(uncommitted.read_dataset("d")))
+
+
 class TestGraphFlatLayouts:
+    """The DFS output of a run is byte-identical to its in-memory output."""
+
     def test_dfs_outputs_byte_identical_across_layouts(self, mini_cora, tmp_path):
         ds = mini_cora
         fs = DistFileSystem(tmp_path)
-        for layout in ("row", "columnar"):
-            config = GraphFlatConfig(hops=2, max_neighbors=20, dataset_layout=layout)
-            result = graph_flat(
-                ds.nodes, ds.edges, ds.train_ids, config, fs=fs,
-                dataset_name=f"flat/{layout}",
-            )
-            assert result.dataset == f"flat/{layout}"
-        assert list(fs.read_dataset("flat/columnar")) == list(fs.read_dataset("flat/row"))
-        assert fs.layout("flat/columnar") == "columnar"
+        config = GraphFlatConfig(hops=2, max_neighbors=20)
+        result = graph_flat(
+            ds.nodes, ds.edges, ds.train_ids, config, fs=fs, dataset_name="flat"
+        )
+        assert result.dataset == "flat" and result.samples is None
+        assert fs.num_shards("flat") == config.num_reducers
+        in_memory = graph_flat(ds.nodes, ds.edges, ds.train_ids, config)
+        assert list(fs.read_dataset("flat")) == in_memory.samples
 
     def test_infer_outputs_byte_identical_across_layouts(self, mini_cora, tmp_path):
         ds = mini_cora
         fs = DistFileSystem(tmp_path)
         model = GCNModel(ds.feature_dim, 8, ds.num_classes, num_layers=2, seed=0)
-        for layout in ("row", "columnar"):
-            config = GraphInferConfig(max_neighbors=10**9, dataset_layout=layout)
-            graph_infer(model, ds.nodes, ds.edges, config, fs=fs,
-                        dataset_name=f"scores/{layout}")
-        row = list(fs.read_dataset("scores/row"))
-        col = list(fs.read_dataset("scores/columnar"))
-        assert row == col
+        config = GraphInferConfig(max_neighbors=10**9)
+        graph_infer(model, ds.nodes, ds.edges, config, fs=fs, dataset_name="scores")
+        scores = graph_infer(model, ds.nodes, ds.edges, config).scores
+        col = list(fs.read_dataset("scores"))
+        assert col == [encode_prediction(v, s) for v, s in scores.items()]
         node_id, scores = decode_prediction(col[0])
         assert scores.shape == (ds.num_classes,)
 
     def test_invalid_layout_config(self):
-        with pytest.raises(ValueError):
-            GraphFlatConfig(dataset_layout="diagonal")
-        with pytest.raises(ValueError):
-            GraphInferConfig(dataset_layout="diagonal")
+        """The shard layout is no longer a knob."""
+        with pytest.raises(TypeError):
+            GraphFlatConfig(dataset_layout="row")
+        with pytest.raises(TypeError):
+            GraphInferConfig(dataset_layout="row")
 
 
 class TestColumnarDatasetSource:
@@ -190,15 +243,18 @@ class TestColumnarDatasetSource:
     def fs_both(self, mini_cora, tmp_path):
         ds = mini_cora
         fs = DistFileSystem(tmp_path)
-        for layout in ("row", "columnar"):
-            config = GraphFlatConfig(hops=2, max_neighbors=20, dataset_layout=layout)
-            graph_flat(ds.nodes, ds.edges, ds.train_ids, config, fs=fs,
-                       dataset_name=f"flat/{layout}")
-        return fs
+        config = GraphFlatConfig(hops=2, max_neighbors=20)
+        graph_flat(ds.nodes, ds.edges, ds.train_ids, config, fs=fs,
+                   dataset_name="flat/columnar")
+        rows = graph_flat(ds.nodes, ds.edges, ds.train_ids, config).samples
+        return fs, rows
 
     def test_source_matches_row_order_and_content(self, fs_both):
-        row = open_sample_source(fs_both, "flat/row")
-        col = open_sample_source(fs_both, "flat/columnar")
+        """The mmap'd source serves the in-memory wire records' samples in
+        their order."""
+        fs, rows = fs_both
+        row = as_sample_source(rows)
+        col = open_sample_source(fs, "flat/columnar")
         assert isinstance(row, MemorySamples) and isinstance(col, ColumnarDataset)
         assert len(row) == len(col)
         np.testing.assert_array_equal(row.ids(), col.ids())
@@ -213,7 +269,7 @@ class TestColumnarDatasetSource:
     def test_batch_ref_pickles_and_loads(self, fs_both):
         import pickle
 
-        col = open_sample_source(fs_both, "flat/columnar")
+        col = open_sample_source(fs_both[0], "flat/columnar")
         ref = col.batch(np.asarray([3, 0, 5]))
         clone = pickle.loads(pickle.dumps(ref))
         samples = clone.load_samples()
@@ -226,7 +282,7 @@ class TestColumnarDatasetSource:
         through pickle and serves the same samples as direct indexing."""
         import pickle
 
-        col = open_sample_source(fs_both, "flat/columnar")
+        col = open_sample_source(fs_both[0], "flat/columnar")
         indices = np.asarray([4, 1, 6, 1])
         sliced = pickle.loads(pickle.dumps(col.slice(indices)))
         assert len(sliced) == 4
@@ -243,7 +299,7 @@ class TestColumnarDatasetSource:
     def test_rewritten_dataset_not_served_stale(self, mini_cora, tmp_path):
         ds = mini_cora
         fs = DistFileSystem(tmp_path)
-        config = GraphFlatConfig(hops=1, max_neighbors=10, dataset_layout="columnar")
+        config = GraphFlatConfig(hops=1, max_neighbors=10)
         graph_flat(ds.nodes, ds.edges, ds.train_ids, config, fs=fs, dataset_name="d")
         assert len(open_sample_source(fs, "d")) == len(ds.train_ids)
         graph_flat(ds.nodes, ds.edges, ds.train_ids[:3], config, fs=fs, dataset_name="d")
@@ -252,7 +308,8 @@ class TestColumnarDatasetSource:
 
 class TestTrainingIdentityAcrossLayouts:
     """Acceptance: columnar shards train to numerically identical per-epoch
-    losses/metrics as the row path, across prefetch backends x workers."""
+    losses/metrics as the in-memory wire records (``row``), across prefetch
+    backends x workers."""
 
     @pytest.fixture(scope="class")
     def fs_both(self, tmp_path_factory):
@@ -260,13 +317,14 @@ class TestTrainingIdentityAcrossLayouts:
 
         ds = cora_like(seed=7, num_nodes=300, num_edges=900)
         fs = DistFileSystem(tmp_path_factory.mktemp("dfs"))
-        for layout in ("row", "columnar"):
-            config = GraphFlatConfig(hops=2, max_neighbors=20, dataset_layout=layout)
-            graph_flat(ds.nodes, ds.edges, ds.train_ids, config, fs=fs,
-                       dataset_name=f"flat/{layout}")
-        return ds, fs
+        config = GraphFlatConfig(hops=2, max_neighbors=20)
+        graph_flat(ds.nodes, ds.edges, ds.train_ids, config, fs=fs,
+                   dataset_name="flat/columnar")
+        rows = graph_flat(ds.nodes, ds.edges, ds.train_ids, config).samples
+        return ds, fs, rows
 
-    def _run(self, ds, fs, layout, backend, workers):
+    def _run(self, fs_both, layout, backend, workers):
+        ds, fs, rows = fs_both
         model = GCNModel(ds.feature_dim, 12, ds.num_classes, num_layers=2, seed=5)
         trainer = GraphTrainer(
             model,
@@ -275,7 +333,10 @@ class TestTrainingIdentityAcrossLayouts:
                 prefetch_backend=backend, prefetch_workers=workers,
             ),
         )
-        source = open_sample_source(fs, f"flat/{layout}")
+        if layout == "row":
+            source = as_sample_source(rows)
+        else:
+            source = open_sample_source(fs, "flat/columnar")
         history = trainer.fit(source)
         return [h["loss"] for h in history], trainer.evaluate(source)
 
@@ -289,17 +350,15 @@ class TestTrainingIdentityAcrossLayouts:
         ],
     )
     def test_loss_trajectory_identical(self, fs_both, layout, backend, workers):
-        ds, fs = fs_both
-        ref = self._run(ds, fs, "row", "threads", 1)
-        got = self._run(ds, fs, layout, backend, workers)
+        ref = self._run(fs_both, "row", "threads", 1)
+        got = self._run(fs_both, layout, backend, workers)
         assert got == ref
 
     def test_loss_trajectory_identical_processes(self, fs_both):
         """Process-pool prefetch: batches ship as shard locators, prepared
         tensors come back — same losses to the bit."""
-        ds, fs = fs_both
-        ref = self._run(ds, fs, "row", "threads", 1)
-        got = self._run(ds, fs, "columnar", "processes", 2)
+        ref = self._run(fs_both, "row", "threads", 1)
+        got = self._run(fs_both, "columnar", "processes", 2)
         assert got == ref
 
 

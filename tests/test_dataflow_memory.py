@@ -1,6 +1,5 @@
 """Constant-memory dataflow: external-sorted reducer spill, frame-level
-map-side combine, reducer-owned columnar sinks, shm prefetch handoff, and
-spill-session hygiene."""
+map-side combine, reducer-owned columnar sinks, and spill-session hygiene."""
 
 import subprocess
 import tempfile
@@ -8,7 +7,6 @@ import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -257,6 +255,10 @@ class TestBoundedReducerMemory:
 # Tentpole (c): reducer-owned columnar sinks — matrix byte-identity
 # --------------------------------------------------------------------------
 class TestSinkMatrix:
+    """``parent``: the parent collects the final round in memory
+    (``fs=None``); ``reducer``: each final-round reducer writes its own
+    DFS shard.  The record stream is the same in every cell."""
+
     @pytest.mark.parametrize("backend", ["serial", "threads"])
     @pytest.mark.parametrize("codec", ["binary", "pickle"])
     @pytest.mark.parametrize("sink", ["parent", "reducer"])
@@ -265,7 +267,7 @@ class TestSinkMatrix:
     ):
         ds = mini_cora
         targets = ds.train_ids[:10]
-        fs = DistFileSystem(tmp_path / f"{backend}-{codec}-{sink}")
+        fs = DistFileSystem(tmp_path / "dfs") if sink == "reducer" else None
         config = GraphFlatConfig(
             hops=2,
             max_neighbors=10**9,
@@ -274,115 +276,15 @@ class TestSinkMatrix:
             num_workers=2,
             spill_dir=tmp_path / "spill",
             shuffle_codec=codec,
-            dataset_sink=sink,
         )
         result = graph_flat(
             ds.nodes, ds.edges, targets, config, fs=fs, dataset_name="flat"
         )
         assert result.num_targets == len(targets)
-        stream = list(fs.read_dataset("flat"))
+        stream = result.samples if fs is None else list(fs.read_dataset("flat"))
         if not hasattr(self, "_reference"):
             type(self)._reference = stream
         assert stream == self._reference
-
-
-# --------------------------------------------------------------------------
-# Tentpole (d): shm prefetch batch handoff
-# --------------------------------------------------------------------------
-def _mk_sample(i, rng):
-    from repro.core.trainer.vectorize import TrainSample
-    from repro.proto.codec import GraphFeature
-
-    n = 6
-    ids = np.arange(i * 10, i * 10 + n, dtype=np.int64)
-    gf = GraphFeature(
-        target_ids=ids[:1],
-        node_ids=ids,
-        x=rng.standard_normal((n, 4)).astype(np.float32),
-        hops=np.zeros(n, dtype=np.int64),
-        edge_src=rng.integers(0, n, 10).astype(np.int64),
-        edge_dst=rng.integers(0, n, 10).astype(np.int64),
-        edge_feat=None,
-        edge_weight=np.ones(10, dtype=np.float32),
-    )
-    return TrainSample(target_id=int(ids[0]), label=float(i % 2), graph_feature=gf)
-
-
-class TestShmBatchHandoff:
-    def test_slab_round_trip_preserves_arrays_and_writability(self):
-        from repro.ps.shm import BatchSlab, ShmBatchRef, slab_dump, slab_load
-
-        obj = (
-            {"a": np.arange(1000, dtype=np.float32), "b": np.ones((3, 5))},
-            np.array([1, 2, 3]),
-        )
-        with BatchSlab(1 << 20) as slab:
-            ref = slab_dump(obj, slab.name, slab.capacity)
-            assert isinstance(ref, ShmBatchRef)
-            assert ref.slab_bytes >= 4000
-            got = slab_load(ref, slab.buf)
-            np.testing.assert_array_equal(got[0]["a"], obj[0]["a"])
-            np.testing.assert_array_equal(got[0]["b"], obj[0]["b"])
-            np.testing.assert_array_equal(got[1], obj[1])
-            # Private copy: mutating the result must not require the slab.
-            assert got[0]["a"].flags.writeable
-            got[0]["a"][0] = 99.0
-            assert obj[0]["a"][0] == 0.0
-
-    def test_overflow_returns_none(self):
-        from repro.ps.shm import BatchSlab, slab_dump
-
-        with BatchSlab(64) as slab:
-            assert slab_dump(np.zeros(1024), slab.name, slab.capacity) is None
-
-    def test_close_unlinks(self):
-        from repro.ps.shm import BatchSlab, attach_shared_memory
-
-        slab = BatchSlab(128)
-        name = slab.name
-        slab.close()
-        slab.close()  # idempotent
-        with pytest.raises(FileNotFoundError):
-            attach_shared_memory(name)
-
-    def test_shm_requires_pickling_backend(self):
-        from repro.core.trainer.pipeline import BatchPipeline
-
-        with pytest.raises(ValueError, match="pickling backend"):
-            BatchPipeline([], num_layers=2, backend="threads", transport="shm")
-
-    def test_process_pool_shm_matches_pickle_transport(self, rng):
-        from repro.core.trainer.pipeline import BatchPipeline
-
-        batches = [[_mk_sample(i * 3 + j, rng) for j in range(3)] for i in range(4)]
-
-        def run(transport, slab_bytes=64 << 20):
-            pipe = BatchPipeline(
-                batches,
-                num_layers=2,
-                backend="processes",
-                workers=2,
-                transport=transport,
-                slab_bytes=slab_bytes,
-            )
-            return list(pipe), pipe
-
-        ref, _ = run("pickle")
-        shm, pipe = run("shm")
-        assert pipe.shm_batches == len(batches) and pipe.inband_batches == 0
-        for (a_in, a_lab), (b_in, b_lab) in zip(ref, shm):
-            np.testing.assert_array_equal(np.asarray(a_lab), np.asarray(b_lab))
-            for field in a_in.__dataclass_fields__:
-                av, bv = getattr(a_in, field), getattr(b_in, field)
-                if isinstance(av, np.ndarray):
-                    np.testing.assert_array_equal(av, bv)
-
-        # A slab too small for any batch degrades to the pickle pipe
-        # batch-by-batch without changing results.
-        tiny, tiny_pipe = run("shm", slab_bytes=1)
-        assert tiny_pipe.inband_batches == len(batches)
-        assert tiny_pipe.shm_batches == 0
-        assert len(tiny) == len(ref)
 
 
 # --------------------------------------------------------------------------

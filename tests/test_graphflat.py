@@ -201,7 +201,7 @@ class TestFaultTolerance:
 
 class TestStoring:
     def test_writes_sharded_dataset(self, tiny_tables, tmp_path):
-        """Default (reducer-owned) sink: one shard per final-round reducer."""
+        """One shard per final-round reducer."""
         nodes, edges = tiny_tables
         fs = DistFileSystem(tmp_path)
         config = GraphFlatConfig(hops=2, num_reducers=4, **NO_SAMPLING)
@@ -211,27 +211,16 @@ class TestStoring:
         decoded = [decode_sample(r)[0] for r in fs.read_dataset("flat/all")]
         assert sorted(decoded) == sorted(nodes.ids.tolist())
 
-    def test_parent_sink_honors_num_shards(self, tiny_tables, tmp_path):
-        nodes, edges = tiny_tables
-        fs = DistFileSystem(tmp_path)
-        config = GraphFlatConfig(
-            hops=2, num_shards=2, dataset_sink="parent", **NO_SAMPLING
-        )
-        res = graph_flat(nodes, edges, None, config, fs=fs, dataset_name="flat/all")
-        assert res.dataset == "flat/all"
-        assert fs.num_shards("flat/all") == 2
-        decoded = [decode_sample(r)[0] for r in fs.read_dataset("flat/all")]
-        assert sorted(decoded) == sorted(nodes.ids.tolist())
-
     def test_sink_modes_byte_identical_stream(self, tiny_tables, tmp_path):
-        """The global record stream must not depend on who wrote the shards."""
+        """The DFS record stream equals the in-memory output: it must not
+        depend on who wrote the records."""
         nodes, edges = tiny_tables
         fs = DistFileSystem(tmp_path)
-        base = GraphFlatConfig(hops=2, **NO_SAMPLING)
-        graph_flat(nodes, edges, None, base, fs=fs, dataset_name="flat/reducer")
-        parent_cfg = GraphFlatConfig(hops=2, dataset_sink="parent", **NO_SAMPLING)
-        graph_flat(nodes, edges, None, parent_cfg, fs=fs, dataset_name="flat/parent")
-        assert list(fs.read_dataset("flat/reducer")) == list(fs.read_dataset("flat/parent"))
+        config = GraphFlatConfig(hops=2, **NO_SAMPLING)
+        graph_flat(nodes, edges, None, config, fs=fs, dataset_name="flat/reducer")
+        in_memory = graph_flat(nodes, edges, None, config)
+        assert in_memory.dataset is None
+        assert list(fs.read_dataset("flat/reducer")) == in_memory.samples
 
 
 class TestSubgraphInfo:

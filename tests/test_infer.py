@@ -226,7 +226,7 @@ class TestOutput:
         fs = DistFileSystem(tmp_path)
         result = graph_infer(
             model, ds.nodes, ds.edges,
-            GraphInferConfig(num_shards=3), fs=fs, dataset_name="scores/all",
+            GraphInferConfig(), fs=fs, dataset_name="scores/all",
         )
         assert result.dataset == "scores/all"
         decoded = dict(
@@ -292,29 +292,25 @@ def _infer_config(**overrides):
 
 
 class TestSliceTransportMatrix:
-    """The tentpole acceptance bar: the shm model-slice broadcast must be
-    byte-identical to the pickled-slice path across backends x shuffle
-    codecs — with hub re-indexing active — ship zero parameter bytes inside
+    """The backend picks the slice transport: ``processes`` publishes the
+    slices into a shm slab, the in-process backends pickle them.  Scores
+    must be byte-identical across backends x shuffle codecs — with hub
+    re-indexing active — the shm path must ship zero parameter bytes inside
     pickled reducers, and never leak a slab."""
 
     @pytest.fixture(scope="class")
     def scored(self, hub_graph):
         ds = hub_graph
         model = GCNModel(6, 8, 2, num_layers=2, seed=0)
-        serial = graph_infer(
-            model, ds.nodes, ds.edges, _infer_config(slice_transport="pickle")
-        )
+        serial = graph_infer(model, ds.nodes, ds.edges, _infer_config())
         assert serial.slice_transport == "pickle"
         return ds, model, serial.scores
 
     @pytest.mark.parametrize(
         "backend,workers,codec,transport",
         [
-            ("serial", None, "binary", "shm"),
-            ("threads", 2, "binary", "shm"),
-            ("threads", 2, "pickle", "shm"),
-            ("processes", 2, "pickle", "pickle"),
-            ("processes", 2, "binary", "pickle"),
+            ("threads", 2, "binary", "pickle"),
+            ("threads", 2, "pickle", "pickle"),
             ("processes", 2, "pickle", "shm"),
             ("processes", 2, "binary", "shm"),
         ],
@@ -324,10 +320,7 @@ class TestSliceTransportMatrix:
         with LocalRuntime(
             backend=backend, max_workers=workers, shuffle_codec=codec
         ) as runtime:
-            result = graph_infer(
-                model, ds.nodes, ds.edges,
-                _infer_config(slice_transport=transport), runtime,
-            )
+            result = graph_infer(model, ds.nodes, ds.edges, _infer_config(), runtime)
         assert result.slice_transport == transport
         assert set(result.scores) == set(baseline)
         for node_id, scores in baseline.items():
@@ -342,8 +335,9 @@ class TestSliceTransportMatrix:
         assert procs.slice_transport == "shm"
 
     def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError):
-            GraphInferConfig(slice_transport="carrier-pigeon")
+        """The transport is not a knob: the backend decides."""
+        with pytest.raises(TypeError):
+            GraphInferConfig(slice_transport="shm")
 
     def test_targeted_inference_under_shm_processes(self, scored):
         ds, model, baseline = scored
@@ -351,7 +345,7 @@ class TestSliceTransportMatrix:
         with LocalRuntime(backend="processes", max_workers=2) as runtime:
             subset = graph_infer(
                 model, ds.nodes, ds.edges,
-                _infer_config(slice_transport="shm"), runtime, targets=targets,
+                _infer_config(), runtime, targets=targets,
             )
         assert set(subset.scores) == {int(t) for t in targets}
         for t in targets:
@@ -398,7 +392,7 @@ class TestSliceTransportMatrix:
         before = _shm_entries()
         with LocalRuntime(backend="processes", max_workers=2) as runtime:
             result = graph_infer(
-                model, ds.nodes, ds.edges, _infer_config(slice_transport="shm"),
+                model, ds.nodes, ds.edges, _infer_config(),
                 runtime,
             )
         assert result.slice_transport == "shm"
@@ -416,7 +410,7 @@ class TestSliceTransportMatrix:
             failure_injector=injector,
         ) as runtime:
             result = graph_infer(
-                model, ds.nodes, ds.edges, _infer_config(slice_transport="shm"),
+                model, ds.nodes, ds.edges, _infer_config(),
                 runtime,
             )
         assert injector.injected > 0
@@ -437,6 +431,6 @@ class TestSliceTransportMatrix:
             with pytest.raises(JobFailedError):
                 graph_infer(
                     model, ds.nodes, ds.edges,
-                    _infer_config(slice_transport="shm"), runtime,
+                    _infer_config(), runtime,
                 )
         assert _shm_entries() - before == frozenset()

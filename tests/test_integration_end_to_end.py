@@ -32,7 +32,7 @@ class TestCoraWorkflow:
         assert test_acc > 0.5  # far beyond the 1/7 chance level
 
         result = graph_infer(
-            model, ds.nodes, ds.edges, GraphInferConfig(num_shards=2), runtime, fs, "scores"
+            model, ds.nodes, ds.edges, GraphInferConfig(), runtime, fs, "scores"
         )
         assert result.dataset == "scores"
         assert fs.count_records("scores") == len(ds.nodes)

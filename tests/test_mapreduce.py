@@ -25,6 +25,7 @@ from repro.mapreduce import (
     register_backend,
 )
 from repro.mapreduce.backends import SerialBackend
+from repro.proto.codec import encode_prediction
 
 
 def word_count_job(**kwargs):
@@ -490,25 +491,31 @@ class TestRunStatsMerge:
         assert sum(stats.reducer_group_sizes.values()) == 4
 
 
+def _predictions(n: int, value: float = 0.0) -> list[bytes]:
+    """``n`` wire-format prediction records (the simplest dataset kind)."""
+    return [encode_prediction(i, np.full(2, value + i, np.float32)) for i in range(n)]
+
+
 class TestDistFileSystem:
     def test_write_read_round_trip(self, tmp_path):
         fs = DistFileSystem(tmp_path)
-        records = [f"rec{i}".encode() for i in range(10)]
-        assert fs.write_dataset("out/data", records, num_shards=3) == 10
+        records = _predictions(10)
+        assert fs.write_dataset("out/data", records, num_shards=3, kind="predictions") == 10
         assert fs.num_shards("out/data") == 3
-        assert sorted(fs.read_dataset("out/data")) == sorted(records)
+        assert list(fs.read_dataset("out/data")) == records
 
     def test_shard_roundrobin_balance(self, tmp_path):
         fs = DistFileSystem(tmp_path)
-        fs.write_dataset("ds", [b"x"] * 10, num_shards=3)
+        fs.write_dataset("ds", _predictions(10), num_shards=3, kind="predictions")
         sizes = [len(list(fs.read_shard("ds", i))) for i in range(3)]
         assert sizes == [4, 3, 3]
 
     def test_overwrite_replaces(self, tmp_path):
         fs = DistFileSystem(tmp_path)
-        fs.write_dataset("ds", [b"old"] * 5, num_shards=2)
-        fs.write_dataset("ds", [b"new"], num_shards=1)
-        assert list(fs.read_dataset("ds")) == [b"new"]
+        fs.write_dataset("ds", _predictions(5), num_shards=2, kind="predictions")
+        new = _predictions(1, value=7.0)
+        fs.write_dataset("ds", new, num_shards=1, kind="predictions")
+        assert list(fs.read_dataset("ds")) == new
         assert fs.num_shards("ds") == 1
 
     def test_missing_dataset_raises(self, tmp_path):
@@ -523,9 +530,10 @@ class TestDistFileSystem:
 
     def test_metadata(self, tmp_path):
         fs = DistFileSystem(tmp_path)
-        fs.write_dataset("a/b", [b"12345"] * 4, num_shards=2)
+        fs.write_dataset("a/b", _predictions(4), num_shards=2, kind="predictions")
         assert fs.exists("a/b")
         assert fs.count_records("a/b") == 4
+        assert fs.kind("a/b") == "predictions"
         assert fs.size_bytes("a/b") > 0
         assert "a/b" in fs.list_datasets()
         fs.delete("a/b")
