@@ -27,27 +27,27 @@ def _rss_mib() -> dict:
 def run_graphflat(args) -> dict:
     from repro.core.graphflat import GraphFlatConfig, graph_flat
     from repro.datasets import cora_like
-    from repro.mapreduce import DistFileSystem
+    from repro.mapreduce import DistFileSystem, LocalRuntime
 
     ds = cora_like(
         seed=0, num_nodes=800 * args.scale, num_edges=2400 * args.scale
     )
     targets = ds.nodes.ids[: 400 * args.scale]
-    with tempfile.TemporaryDirectory() as tmp:
-        config = GraphFlatConfig(
-            hops=2,
-            max_neighbors=15,
-            backend="processes",
-            num_workers=args.workers,
-            num_reducers=max(args.workers, 4),
-            spill_dir=f"{tmp}/spill",
-            # Small runs force real external sorting even at bench scale.
-            spill_run_records=2048,
-            spill_run_bytes=1 << 18,
-        )
+    config = GraphFlatConfig(hops=2, max_neighbors=15, num_reducers=max(args.workers, 4))
+    with tempfile.TemporaryDirectory() as tmp, LocalRuntime(
+        backend="processes",
+        max_workers=args.workers,
+        spill_dir=f"{tmp}/spill",
+        shuffle_codec="binary",
+        # Small runs force real external sorting even at bench scale.
+        spill_run_records=2048,
+        spill_run_bytes=1 << 18,
+    ) as runtime:
         fs = DistFileSystem(f"{tmp}/dfs")
         start = time.perf_counter()
-        result = graph_flat(ds.nodes, ds.edges, targets, config, fs=fs, dataset_name="flat")
+        result = graph_flat(
+            ds.nodes, ds.edges, targets, config, runtime, fs=fs, dataset_name="flat"
+        )
         wall = time.perf_counter() - start
     return {
         "wall_s": wall,

@@ -29,7 +29,7 @@ from repro.core.trainer import (
     open_sample_source,
 )
 from repro.datasets.io import read_edge_table, read_node_table
-from repro.mapreduce import BACKEND_REGISTRY, PARTITIONERS, DistFileSystem
+from repro.mapreduce import BACKEND_REGISTRY, DistFileSystem, LocalRuntime
 from repro.nn.gnn import MODEL_REGISTRY, build_model
 from repro.proto.codec import decode_prediction
 from repro.tasks import EDGE_TASKS, TASK_REGISTRY
@@ -207,7 +207,28 @@ def _backend_name(args) -> str:
     return "threads" if args.num_workers > 1 else "serial"
 
 
-def _print_shuffle_summary(round_stats, codec: str, transport: str = "local") -> None:
+def _runtime_from_args(args) -> LocalRuntime:
+    """The runtime a graphflat/graphinfer run executes on, from the
+    ``_add_mapreduce`` flags; ``--hosts`` becomes the cluster roster."""
+    cluster = None
+    if args.hosts:
+        from repro.transport import ClusterSpec
+
+        cluster = ClusterSpec.parse(args.hosts)
+    return LocalRuntime(
+        backend=_backend_name(args),
+        max_workers=args.num_workers,
+        max_attempts=args.max_attempts,
+        spill_dir=args.spill_dir,
+        shuffle_codec=args.shuffle_codec,
+        task_timeout_s=args.task_timeout_s,
+        speculation_factor=args.speculation_factor,
+        shuffle_transport=args.shuffle_transport,
+        cluster=cluster,
+    )
+
+
+def _print_shuffle_summary(round_stats, runtime: LocalRuntime) -> None:
     """One line of shuffle accounting so codec wins are visible without
     running the benchmark suite."""
     records = sum(rs.shuffled_records for rs in round_stats)
@@ -218,7 +239,7 @@ def _print_shuffle_summary(round_stats, codec: str, transport: str = "local") ->
     if spilled:
         print(
             f"shuffle: {records} records, {spilled / 2**20:.2f} MiB spilled "
-            f"({codec} codec, {len(round_stats)} rounds{detail}, "
+            f"({runtime.shuffle_codec} codec, {len(round_stats)} rounds{detail}, "
             f"peak reducer buffer {peak / 2**20:.2f} MiB)"
         )
     else:
@@ -226,7 +247,7 @@ def _print_shuffle_summary(round_stats, codec: str, transport: str = "local") ->
             f"shuffle: {records} records (in-memory, {len(round_stats)} "
             f"rounds{detail})"
         )
-    _print_transport_summary(round_stats, transport)
+    _print_transport_summary(round_stats, runtime.shuffle_transport)
     _print_skew_summary(round_stats)
 
 
@@ -305,20 +326,12 @@ def _cmd_graphflat(args) -> int:
         task=args.task,
         edge_targets=args.edge_targets,
         negative_ratio=args.negative_ratio,
-        backend=_backend_name(args),
-        num_workers=args.num_workers,
-        spill_dir=args.spill_dir,
-        shuffle_codec=args.shuffle_codec,
-        shuffle_transport=args.shuffle_transport,
-        hosts=args.hosts,
-        partitioner=args.partitioner,
-        max_attempts=args.max_attempts,
-        task_timeout_s=args.task_timeout_s,
-        speculation_factor=args.speculation_factor,
     )
     fs = DistFileSystem(args.dfs)
-    # The config owns the runtime (graph_flat builds and closes it).
-    result = graph_flat(nodes, edges, targets, config, fs=fs, dataset_name=args.output)
+    with _runtime_from_args(args) as runtime:
+        result = graph_flat(
+            nodes, edges, targets, config, runtime, fs=fs, dataset_name=args.output
+        )
     unit = "edge samples" if args.task in EDGE_TASKS else "GraphFeatures"
     print(
         f"GraphFlat: wrote {result.num_targets} {unit} to "
@@ -327,8 +340,7 @@ def _cmd_graphflat(args) -> int:
         f"{len(result.hub_nodes)} hub nodes re-indexed, "
         f"mean neighborhood {result.neighborhood_nodes.mean():.1f} nodes)"
     )
-    _print_shuffle_summary(result.round_stats, args.shuffle_codec,
-                           args.shuffle_transport)
+    _print_shuffle_summary(result.round_stats, runtime)
     _print_fault_summary(result.round_stats)
     return 0
 
@@ -521,16 +533,6 @@ def _cmd_graphinfer(args) -> int:
         max_neighbors=args.max_neighbors,
         hub_threshold=args.hub_threshold,
         seed=args.seed,
-        backend=_backend_name(args),
-        num_workers=args.num_workers,
-        spill_dir=args.spill_dir,
-        shuffle_codec=args.shuffle_codec,
-        shuffle_transport=args.shuffle_transport,
-        hosts=args.hosts,
-        partitioner=args.partitioner,
-        max_attempts=args.max_attempts,
-        task_timeout_s=args.task_timeout_s,
-        speculation_factor=args.speculation_factor,
         task=args.task,
     )
     targets = None
@@ -540,10 +542,11 @@ def _cmd_graphinfer(args) -> int:
     if args.candidates:
         candidates = np.loadtxt(args.candidates, dtype=np.int64, ndmin=2)
     fs = DistFileSystem(args.dfs)
-    result = graph_infer(
-        model, nodes, edges, config, fs=fs, dataset_name=args.output,
-        targets=targets, candidates=candidates,
-    )
+    with _runtime_from_args(args) as runtime:
+        result = graph_infer(
+            model, nodes, edges, config, runtime, fs=fs, dataset_name=args.output,
+            targets=targets, candidates=candidates,
+        )
     unit = "candidate edges" if args.task in EDGE_TASKS else "nodes"
     print(
         f"GraphInfer: scored {result.num_nodes} {unit} "
@@ -551,8 +554,7 @@ def _cmd_graphinfer(args) -> int:
         f"{result.slice_transport} slice transport) -> "
         f"{args.dfs}/{args.output}"
     )
-    _print_shuffle_summary(result.round_stats, args.shuffle_codec,
-                           args.shuffle_transport)
+    _print_shuffle_summary(result.round_stats, runtime)
     _print_fault_summary(result.round_stats)
     return 0
 
@@ -589,12 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="link prediction: negative edges drawn per positive edge",
     )
     flat.add_argument("--output", default="graphflat/output")
-    flat.add_argument(
-        "--partitioner", choices=PARTITIONERS, default="hash",
-        help="shuffle partition strategy: 'hash' (crc32 of the key) or "
-        "'planned' (degree-aware plan that spreads heavy keys across "
-        "reducers; output stays byte-identical to hash)",
-    )
     _add_common(flat)
     _add_mapreduce(flat)
     flat.set_defaults(func=_cmd_graphflat)
@@ -652,12 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="edge tasks: file of candidate edges to score, one "
         "'src<TAB>dst' (or 'src dst') pair per line; default scores the "
         "graph's own edges",
-    )
-    infer.add_argument(
-        "--partitioner", choices=PARTITIONERS, default="hash",
-        help="shuffle partition strategy: 'hash' (crc32 of the key) or "
-        "'planned' (degree-aware plan that spreads heavy keys across "
-        "reducers; output stays byte-identical to hash)",
     )
     _add_common(infer)
     _add_mapreduce(infer)

@@ -41,9 +41,7 @@ from repro.graph.tables import EdgeTable, NodeTable
 from repro.graph.validate import validate_tables
 from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.job import MapReduceJob, SumCombiner
-from repro.mapreduce.partition import PARTITIONERS, PartitionPlan, plan_partitions, publish_plan
 from repro.mapreduce.runtime import LocalRuntime, RunStats
-from repro.mapreduce.spill import DEFAULT_RUN_BYTES, DEFAULT_RUN_RECORDS
 from repro.proto.codec import encode_sample
 from repro.proto.columnar import write_sample_shard
 from repro.tasks import make_task
@@ -56,15 +54,17 @@ __all__ = [
     "PartialReducer",
     "PrepareReducer",
     "SampleShardSink",
-    "build_partition_plan",
     "graph_flat",
 ]
 
 
 @dataclass
 class GraphFlatConfig:
-    """Knobs of the pipeline (the CLI flags of Figure 6's ``GraphFlat -n
-    node_table -e edge_table -h hops -s sampling_strategy``)."""
+    """What GraphFlat computes (the CLI flags of Figure 6's ``GraphFlat -n
+    node_table -e edge_table -h hops -s sampling_strategy``).  How it runs
+    — backend, workers, spill, codec, transport, retries — is the
+    :class:`~repro.mapreduce.runtime.LocalRuntime` passed to
+    :func:`graph_flat`."""
 
     hops: int = 2
     sampling: str = "uniform"
@@ -85,91 +85,21 @@ class GraphFlatConfig:
     num_reducers: int = 4
     seed: int = 0
     validate: bool = True
-    backend: str = "serial"
-    """MapReduce backend (``serial`` / ``threads`` / ``processes``) used
-    when no explicit runtime is passed to :func:`graph_flat`."""
-    num_workers: int | None = None
-    """Worker count for the pooled backends; ``None`` = backend default."""
-    spill_dir: str | None = None
-    """Shuffle spill directory; ``None`` = in-memory (serial/threads) or a
-    private temp dir (processes)."""
-    shuffle_codec: str = "binary"
-    """Spill record encoding: ``binary`` (flat SubgraphInfo/edge records
-    instead of pickled object graphs — the default; output is byte-identical
-    to ``pickle``, tested) or ``pickle``."""
-    partitioner: str = "hash"
-    """Shuffle partition function for the intermediate rounds: ``hash``
-    (crc32 of the key, the classic default) or ``planned`` (degree-aware
-    greedy bin-packing built from the degree job's output — heavy keys get
-    explicit placements, the light tail keeps hashing; see
-    ``repro.mapreduce.partition``).  The *final* round always partitions by
-    hash: output record order is partition-major, so pinning the last
-    round's placement is what keeps pipeline output byte-identical across
-    partitioners (tested)."""
-    spill_run_records: int = DEFAULT_RUN_RECORDS
-    """External-sort run bound: records buffered per spill writer before a
-    sorted run is flushed (see ``repro.mapreduce.spill.SpillRunWriter``)."""
-    spill_run_bytes: int = DEFAULT_RUN_BYTES
-    """External-sort run bound in encoded bytes (binary codec only)."""
-    max_attempts: int = 3
-    """Attempt budget per MapReduce task before the job fails."""
-    task_timeout_s: float | None = None
-    """Per-attempt deadline: an attempt running longer is discarded (pool
-    kill under ``processes``, cooperative check elsewhere) and retried as a
-    :class:`~repro.mapreduce.fault.TaskTimeoutError`.  ``None`` = none."""
-    speculation_factor: float | None = None
-    """Straggler speculation (processes backend): a task running longer
-    than this factor x the phase's median completed duration races a
-    duplicate attempt; first completion wins.  ``None`` = off."""
-    shuffle_transport: str = "local"
-    """How reducers reach map-side shuffle runs: ``local`` (direct file
-    reads — the intra-host fast path, byte-identical to the historical
-    spill layout), ``tcp`` (shuffle peering over the frame wire protocol)
-    or ``shared-dir`` (runs pushed to per-partition peer directories under
-    a shared ``spill_dir`` mount).  Output is byte-identical across all
-    three (tested)."""
-    hosts: str | None = None
-    """Cluster roster for the TCP transports (``host:port,host:port,...``;
-    first entry is the coordinator).  ``None`` binds ephemeral loopback."""
 
     def __post_init__(self):
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
         if self.reindex_fanout < 2:
             raise ValueError("reindex_fanout must be >= 2")
-        make_task(self.task)  # unknown task names fail here, not mid-pipeline
+        if self.num_reducers < 1:
+            raise ValueError("num_reducers must be >= 1")
+        # unknown task/sampling names and bad caps fail here, not mid-pipeline
+        make_task(self.task)
+        make_sampler(self.sampling, self.max_neighbors, self.seed)
         if self.edge_targets is not None and self.edge_targets < 1:
             raise ValueError("edge_targets must be >= 1")
         if self.negative_ratio < 1:
             raise ValueError("negative_ratio must be >= 1")
-        if self.partitioner not in PARTITIONERS:
-            raise ValueError(f"partitioner must be one of {PARTITIONERS}")
-        from repro.transport.shuffle import SHUFFLE_TRANSPORTS
-
-        if self.shuffle_transport not in SHUFFLE_TRANSPORTS:
-            raise ValueError(
-                f"shuffle_transport must be one of {SHUFFLE_TRANSPORTS}"
-            )
-
-    def make_runtime(self) -> LocalRuntime:
-        cluster = None
-        if self.hosts:
-            from repro.transport.cluster import ClusterSpec
-
-            cluster = ClusterSpec.parse(self.hosts)
-        return LocalRuntime(
-            backend=self.backend,
-            max_workers=self.num_workers,
-            max_attempts=self.max_attempts,
-            spill_dir=self.spill_dir,
-            shuffle_codec=self.shuffle_codec,
-            spill_run_records=self.spill_run_records,
-            spill_run_bytes=self.spill_run_bytes,
-            task_timeout_s=self.task_timeout_s,
-            speculation_factor=self.speculation_factor,
-            shuffle_transport=self.shuffle_transport,
-            cluster=cluster,
-        )
 
 
 @dataclass
@@ -233,54 +163,6 @@ def _degree_job(num_reducers: int) -> MapReduceJob:
     )
 
 
-def build_partition_plan(
-    degree_pairs,
-    hubs: frozenset[int],
-    fanout: int,
-    reindex_active: bool,
-    num_reducers: int,
-) -> PartitionPlan:
-    """Degree-aware placement plan covering every intermediate round's key
-    forms (GraphFlat and GraphInfer share them).
-
-    A node's expected shuffle load is its in-degree — the number of ``in``
-    records propagated to it each round, known before any round runs
-    because the degree job already counted it.  Per node of in-degree
-    ``deg``, the weighted key set is:
-
-    * reindex off — the plain int key at weight ``deg`` (both the merge
-      rounds' routing and the no-hub case).
-    * reindex on, non-hub — ``(node, 0)`` at ``deg`` (routing into the
-      re-index rounds, where in-records pass through unsampled) and the
-      plain int at ``deg`` (routing into the merge rounds, whose keys are
-      inverted back to plain ids).
-    * reindex on, hub — each slice key ``(node, 1+s)`` at ``deg / fanout``
-      (the split the re-indexing performs), ``(node, 0)`` at ~2 (self +
-      out records only), and the plain int at ``2 + fanout`` (post-sampling
-      partials).
-
-    :func:`~repro.mapreduce.partition.plan_partitions` then LPT-packs the
-    heavy head of that set; everything else keeps hashing."""
-
-    def weighted():
-        for node, deg in degree_pairs:
-            node = int(node)
-            deg = float(deg)
-            if not reindex_active:
-                yield node, deg
-            elif node in hubs:
-                share = deg / fanout
-                for s in range(1, fanout + 1):
-                    yield (node, s), share
-                yield (node, 0), 2.0
-                yield node, 2.0 + fanout
-            else:
-                yield (node, 0), deg
-                yield node, deg
-
-    return plan_partitions(weighted(), num_reducers)
-
-
 def graph_flat(
     nodes: NodeTable,
     edges: EdgeTable,
@@ -298,7 +180,8 @@ def graph_flat(
         node ids whose k-hop neighborhoods are materialised (the labeled
         nodes, §3.2); ``None`` keeps every node (GraphInfer-style input).
     runtime:
-        MapReduce runtime; defaults to a serial one.
+        MapReduce runtime; ``None`` runs on a serial, in-memory
+        ``LocalRuntime()`` that this call creates and closes.
     fs / dataset_name:
         when ``fs`` is given, each final-round reducer writes its samples
         as one columnar shard of that dataset and ``result.dataset`` is
@@ -307,7 +190,7 @@ def graph_flat(
     """
     config = config or GraphFlatConfig()
     owns_runtime = runtime is None
-    runtime = runtime or config.make_runtime()
+    runtime = runtime or LocalRuntime()
     try:
         return _graph_flat(
             nodes, edges, targets, config, runtime, fs, dataset_name
@@ -376,103 +259,77 @@ def _graph_flat(
     hubs = frozenset(int(v) for v, deg in degree_pairs if deg > config.hub_threshold)
     reindex_active = bool(hubs)
 
-    # ---- degree-aware placement plan (tentpole of the pluggable
-    # partitioner): built from the degree job's output the pipeline already
-    # ran for hub detection, broadcast once (shared memory under pickling
-    # backends), applied to every intermediate round below.
-    partition_broadcast = None
-    planned = None
-    if config.partitioner == "planned":
-        plan = build_partition_plan(
-            degree_pairs, hubs, config.reindex_fanout, reindex_active,
-            config.num_reducers,
+    # ---- Map phase ("runs only once at the beginning", §3.2.1) followed
+    # by K Reduce rounds, submitted as one chained sequence: every round
+    # is reduce-only, so the runtime hands partitions reducer-to-reducer
+    # and intermediate state never funnels through this process.
+    node_rows = [(int(i), ("node", feat)) for i, feat, _ in nodes.rows()]
+    jobs = [
+        MapReduceJob(
+            "graphflat-map",
+            PrepareReducer(hubs, config.reindex_fanout, reindex_active),
+            num_reducers=config.num_reducers,
         )
-        partition_broadcast, planned = publish_plan(plan, runtime.needs_pickling)
-    try:
-        # ---- Map phase ("runs only once at the beginning", §3.2.1) followed
-        # by K Reduce rounds, submitted as one chained sequence: every round
-        # is reduce-only, so the runtime hands partitions reducer-to-reducer
-        # and intermediate state never funnels through this process.
-        node_rows = [(int(i), ("node", feat)) for i, feat, _ in nodes.rows()]
-        jobs = [
+    ]
+    for k in range(1, config.hops + 1):
+        if reindex_active:
+            jobs.append(
+                MapReduceJob(
+                    f"graphflat-reduce{k}-reindex",
+                    PartialReducer(sampler, k, config.reindex_fanout),
+                    num_reducers=config.num_reducers,
+                )
+            )
+        jobs.append(
             MapReduceJob(
-                "graphflat-map",
-                PrepareReducer(hubs, config.reindex_fanout, reindex_active),
+                f"graphflat-reduce{k}",
+                MergeReducer(
+                    sampler,
+                    k,
+                    config.hops,
+                    hubs,
+                    config.reindex_fanout,
+                    reindex_active,
+                    None if target_set is None else frozenset(target_set),
+                    edge_fanout,
+                ),
                 num_reducers=config.num_reducers,
             )
-        ]
-        for k in range(1, config.hops + 1):
-            if reindex_active:
-                jobs.append(
-                    MapReduceJob(
-                        f"graphflat-reduce{k}-reindex",
-                        PartialReducer(sampler, k, config.reindex_fanout),
-                        num_reducers=config.num_reducers,
-                    )
-                )
-            jobs.append(
-                MapReduceJob(
-                    f"graphflat-reduce{k}",
-                    MergeReducer(
-                        sampler,
-                        k,
-                        config.hops,
-                        hubs,
-                        config.reindex_fanout,
-                        reindex_active,
-                        None if target_set is None else frozenset(target_set),
-                        edge_fanout,
-                    ),
-                    num_reducers=config.num_reducers,
-                )
+        )
+    if edge_fanout is not None:
+        # Pairing round: join the two endpoints' flattened neighborhoods
+        # per target edge, keyed by edge index (output order is
+        # partition-major over edge indices).
+        jobs.append(
+            MapReduceJob(
+                "graphflat-pair",
+                PairReducer(),
+                num_reducers=config.num_reducers,
             )
-        if edge_fanout is not None:
-            # Pairing round: join the two endpoints' flattened neighborhoods
-            # per target edge.  Keyed by edge index and hash-partitioned —
-            # being the new final round, it inherits the determinism
-            # contract (output order is partition-major over edge indices).
-            jobs.append(
-                MapReduceJob(
-                    "graphflat-pair",
-                    PairReducer(),
-                    num_reducers=config.num_reducers,
-                )
-            )
-        if planned is not None:
-            # Intermediate rounds get planned placement; the *final* round
-            # keeps the hash default: output record order is partition-major
-            # and shards are per-partition, so pinning the last
-            # round's placement is the planner's determinism contract —
-            # pipeline output stays byte-identical across partitioners.
-            for job in jobs[:-1]:
-                job.partitioner = planned
-        samples = None
-        if fs is None:
-            data = runtime.run_rounds(jobs, node_rows + edge_rows)
-            triples, n_nodes, n_edges = _final_triples(data, label_of, type_table)
-            samples = [encode_sample(*triple) for triple in triples]
-        else:
-            # ---- Storing: each final-round reducer writes its own AGLC
-            # shard straight into the (pre-cleared) dataset directory;
-            # sample triples never travel through this process.  Shard
-            # order = partition order and keys are sorted within a
-            # partition, so the global record stream equals the in-memory
-            # output exactly.
-            directory = fs.prepare_dataset(dataset_name)
-            sink = SampleShardSink(str(directory), label_of, type_table, meta_task)
-            summaries = runtime.run_rounds(jobs, node_rows + edge_rows, final_sink=sink)
-            fs.finalize_dataset(
-                dataset_name,
-                kind="samples",
-                record_counts=[count for count, _, _ in summaries],
-                task=meta_task,
-            )
-            n_nodes = [n for _, nodes_, _ in summaries for n in nodes_]
-            n_edges = [n for _, _, edges_ in summaries for n in edges_]
-    finally:
-        # Single unlink point for the plan slab — covers failed rounds too.
-        if partition_broadcast is not None:
-            partition_broadcast.close()
+        )
+    samples = None
+    if fs is None:
+        data = runtime.run_rounds(jobs, node_rows + edge_rows)
+        triples, n_nodes, n_edges = _final_triples(data, label_of, type_table)
+        samples = [encode_sample(*triple) for triple in triples]
+    else:
+        # ---- Storing: each final-round reducer writes its own AGLC
+        # shard straight into the (pre-cleared) dataset directory;
+        # sample triples never travel through this process.  Shard
+        # order = partition order and keys are sorted within a
+        # partition, so the global record stream equals the in-memory
+        # output exactly.
+        directory = fs.prepare_dataset(dataset_name)
+        sink = SampleShardSink(str(directory), label_of, type_table, meta_task)
+        summaries = runtime.run_rounds(jobs, node_rows + edge_rows, final_sink=sink)
+        fs.finalize_dataset(
+            dataset_name,
+            kind="samples",
+            record_counts=[count for count, _, _ in summaries],
+            task=meta_task,
+        )
+        n_nodes = [n for _, nodes_, _ in summaries for n in nodes_]
+        n_edges = [n for _, _, edges_ in summaries for n in edges_]
     return GraphFlatResult(
         num_targets=len(n_nodes),
         hops=config.hops,

@@ -10,7 +10,7 @@ the under-cap early return — orders its result by ``e.src``, never by
 arrival order.  Arrival order within a reduce group is a function of which
 upstream task emitted each record, i.e. of the shuffle partition function;
 canonical ordering is what keeps pipeline output byte-identical across
-partitioners (hash vs planned), backends, and re-executed attempts.
+partition functions, backends, and re-executed attempts.
 Sampling is deterministic given ``(seed, node id, salt)`` — and the salt is
 *round-independent* on purpose:
 

@@ -22,16 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.graphflat.pipeline import _EdgeFanout, build_partition_plan
+from repro.core.graphflat.pipeline import _EdgeFanout
 from repro.core.graphflat.sampling import SamplingStrategy, make_sampler
 from repro.core.infer.segmentation import ModelSlice, broadcast_slices, segment_model
 from repro.graph.tables import EdgeTable, NodeTable
 from repro.graph.validate import validate_tables
 from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.partition import PARTITIONERS, publish_plan
 from repro.mapreduce.runtime import LocalRuntime, RunStats
-from repro.mapreduce.spill import DEFAULT_RUN_BYTES, DEFAULT_RUN_RECORDS
 from repro.proto.columnar import write_prediction_shard
 from repro.nn.gnn.base import GNNModel
 from repro.proto.framing import (
@@ -109,7 +107,10 @@ register_record(0x31, _InEmb, _encode_in_emb, _decode_in_emb)
 
 @dataclass
 class GraphInferConfig:
-    """Inference knobs (Figure 6's ``GraphInfer -m model -i input -c ...``)."""
+    """What GraphInfer computes (Figure 6's ``GraphInfer -m model -i input
+    -c ...``).  How it runs is the
+    :class:`~repro.mapreduce.runtime.LocalRuntime` passed to
+    :func:`graph_infer`."""
 
     sampling: str = "uniform"
     max_neighbors: int = 10**9
@@ -118,49 +119,6 @@ class GraphInferConfig:
     num_reducers: int = 4
     seed: int = 0
     validate: bool = True
-    backend: str = "serial"
-    """MapReduce backend (``serial`` / ``threads`` / ``processes``) used
-    when no explicit runtime is passed to :func:`graph_infer`."""
-    num_workers: int | None = None
-    """Worker count for the pooled backends; ``None`` = backend default."""
-    spill_dir: str | None = None
-    """Shuffle spill directory; ``None`` = in-memory (serial/threads) or a
-    private temp dir (processes)."""
-    shuffle_codec: str = "binary"
-    """Spill record encoding: ``binary`` (flat embedding/edge records —
-    the default; output is byte-identical to ``pickle``, tested) or
-    ``pickle``."""
-    partitioner: str = "hash"
-    """Shuffle partition function for the embedding rounds: ``hash``
-    (crc32 default) or ``planned`` (degree-aware bin-packing of heavy
-    keys, planned from one vectorized in-degree pass — the same counts hub
-    detection uses).  The final prediction round always partitions by
-    hash so score order and shard contents stay partitioner-independent
-    (see ``GraphFlatConfig.partitioner``)."""
-    spill_run_records: int = DEFAULT_RUN_RECORDS
-    """External-sort run bound: records buffered per spill writer before a
-    sorted run is flushed (see ``repro.mapreduce.spill.SpillRunWriter``)."""
-    spill_run_bytes: int = DEFAULT_RUN_BYTES
-    """External-sort run bound in encoded bytes (binary codec only)."""
-    max_attempts: int = 3
-    """Attempt budget per MapReduce task before the job fails."""
-    task_timeout_s: float | None = None
-    """Per-attempt deadline: an attempt running longer is discarded (pool
-    kill under ``processes``, cooperative check elsewhere) and retried as a
-    :class:`~repro.mapreduce.fault.TaskTimeoutError`.  ``None`` = none."""
-    speculation_factor: float | None = None
-    """Straggler speculation (processes backend): a task running longer
-    than this factor x the phase's median completed duration races a
-    duplicate attempt; first completion wins.  ``None`` = off."""
-    shuffle_transport: str = "local"
-    """How reducers reach map-side shuffle runs: ``local`` (direct file
-    reads), ``tcp`` (shuffle peering over the frame wire protocol) or
-    ``shared-dir`` (runs pushed to per-partition peer directories under a
-    shared ``spill_dir`` mount).  Scores are byte-identical across all
-    three (tested) — see ``GraphFlatConfig.shuffle_transport``."""
-    hosts: str | None = None
-    """Cluster roster for the TCP transports (``host:port,...``; first
-    entry is the coordinator).  ``None`` binds ephemeral loopback."""
     task: str = "node_classification"
     """Inference task (``repro.tasks`` registry).  Edge-level tasks score
     candidate edges instead of nodes: the final embedding round fans each
@@ -169,35 +127,13 @@ class GraphInferConfig:
     embedding pair — record ids in the output are candidate-edge indices."""
 
     def __post_init__(self):
-        make_task(self.task)  # fail fast on unknown task names
-        if self.partitioner not in PARTITIONERS:
-            raise ValueError(f"partitioner must be one of {PARTITIONERS}")
-        from repro.transport.shuffle import SHUFFLE_TRANSPORTS
-
-        if self.shuffle_transport not in SHUFFLE_TRANSPORTS:
-            raise ValueError(
-                f"shuffle_transport must be one of {SHUFFLE_TRANSPORTS}"
-            )
-
-    def make_runtime(self) -> LocalRuntime:
-        cluster = None
-        if self.hosts:
-            from repro.transport.cluster import ClusterSpec
-
-            cluster = ClusterSpec.parse(self.hosts)
-        return LocalRuntime(
-            backend=self.backend,
-            max_workers=self.num_workers,
-            max_attempts=self.max_attempts,
-            spill_dir=self.spill_dir,
-            shuffle_codec=self.shuffle_codec,
-            spill_run_records=self.spill_run_records,
-            spill_run_bytes=self.spill_run_bytes,
-            task_timeout_s=self.task_timeout_s,
-            speculation_factor=self.speculation_factor,
-            shuffle_transport=self.shuffle_transport,
-            cluster=cluster,
-        )
+        if self.reindex_fanout < 2:
+            raise ValueError("reindex_fanout must be >= 2")
+        if self.num_reducers < 1:
+            raise ValueError("num_reducers must be >= 1")
+        # unknown task/sampling names and bad caps fail here, not mid-pipeline
+        make_task(self.task)
+        make_sampler(self.sampling, self.max_neighbors, self.seed)
 
 
 @dataclass
@@ -219,19 +155,11 @@ class GraphInferResult:
     ride inside each reducer)."""
 
 
-def _degree_counts(edges: EdgeTable) -> tuple[np.ndarray, np.ndarray]:
-    """Per-destination in-degree as ``(node ids, counts)`` — one vectorized
-    unique+count pass over the dst column.  Feeds both hub detection and
-    the degree-aware partition plan (the same counts GraphFlat gets from
-    its degree MapReduce job)."""
-    return np.unique(np.asarray(edges.dst, dtype=np.int64), return_counts=True)
-
-
 def _detect_hubs(edges: EdgeTable, hub_threshold: int) -> frozenset[int]:
     """In-degree hub detection identical to GraphFlat's, vectorized: one
     unique+count pass over the dst column instead of a per-edge dict loop
     (equality with the loop is reference-tested)."""
-    uniq, counts = _degree_counts(edges)
+    uniq, counts = np.unique(np.asarray(edges.dst, dtype=np.int64), return_counts=True)
     return frozenset(int(v) for v in uniq[counts > hub_threshold])
 
 
@@ -311,7 +239,7 @@ def graph_infer(
     """
     config = config or GraphInferConfig()
     owns_runtime = runtime is None
-    runtime = runtime or config.make_runtime()
+    runtime = runtime or LocalRuntime()
     try:
         return _graph_infer(
             model, nodes, edges, config, runtime, fs, dataset_name, targets,
@@ -409,25 +337,8 @@ def _graph_infer_rounds(
             )
         distance = _distance_to_targets(edges, target_set, len(gnn_slices))
 
-    uniq_dst, dst_counts = _degree_counts(edges)
-    hubs = frozenset(
-        int(v) for v in uniq_dst[dst_counts > config.hub_threshold]
-    )
+    hubs = _detect_hubs(edges, config.hub_threshold)
     reindex_active = bool(hubs)
-
-    # ---- degree-aware placement plan: same construction as GraphFlat's,
-    # from the vectorized in-degree pass above instead of a degree job.
-    partition_broadcast = None
-    planned = None
-    if config.partitioner == "planned":
-        plan = build_partition_plan(
-            zip(uniq_dst.tolist(), dst_counts.tolist()),
-            hubs,
-            config.reindex_fanout,
-            reindex_active,
-            config.num_reducers,
-        )
-        partition_broadcast, planned = publish_plan(plan, runtime.needs_pickling)
 
     # ---- Map: self embedding h^(0) = x, out-edges, propagate h^(0) --------
     total_rounds = len(gnn_slices)
@@ -477,13 +388,6 @@ def _graph_infer_rounds(
             num_reducers=config.num_reducers,
         )
     )
-    if planned is not None:
-        # Embedding rounds get planned placement; the prediction round
-        # keeps the hash default so score order and shard contents
-        # are partitioner-independent (GraphFlat pins its final
-        # round for the same reason).
-        for job in jobs[:-1]:
-            job.partitioner = planned
     if distance is None:
         embedding_computations = len(nodes) * total_rounds
     else:
@@ -494,35 +398,30 @@ def _graph_infer_rounds(
             if d <= total_rounds - k and node_id in nodes
         )
 
-    try:
-        if fs is None:
-            data = runtime.run_rounds(jobs, node_rows + edge_rows)
-            return GraphInferResult(
-                num_nodes=len(data),
-                scores={int(v): s for v, s in data},
-                round_stats=list(runtime.round_stats),
-                embedding_computations=embedding_computations,
-                slice_transport=transport,
-            )
-        # Each prediction reducer writes its own AGLC shard; score matrices
-        # never travel through this process.
-        directory = fs.prepare_dataset(dataset_name)
-        sink = PredictionShardSink(str(directory))
-        counts = runtime.run_rounds(jobs, node_rows + edge_rows, final_sink=sink)
-        fs.finalize_dataset(
-            dataset_name, kind="predictions", record_counts=counts, task=meta_task
-        )
+    if fs is None:
+        data = runtime.run_rounds(jobs, node_rows + edge_rows)
         return GraphInferResult(
-            num_nodes=sum(counts),
-            dataset=dataset_name,
+            num_nodes=len(data),
+            scores={int(v): s for v, s in data},
             round_stats=list(runtime.round_stats),
             embedding_computations=embedding_computations,
             slice_transport=transport,
         )
-    finally:
-        # Single unlink point for the plan slab — covers failed rounds too.
-        if partition_broadcast is not None:
-            partition_broadcast.close()
+    # Each prediction reducer writes its own AGLC shard; score matrices
+    # never travel through this process.
+    directory = fs.prepare_dataset(dataset_name)
+    sink = PredictionShardSink(str(directory))
+    counts = runtime.run_rounds(jobs, node_rows + edge_rows, final_sink=sink)
+    fs.finalize_dataset(
+        dataset_name, kind="predictions", record_counts=counts, task=meta_task
+    )
+    return GraphInferResult(
+        num_nodes=sum(counts),
+        dataset=dataset_name,
+        round_stats=list(runtime.round_stats),
+        embedding_computations=embedding_computations,
+        slice_transport=transport,
+    )
 
 
 # --------------------------------------------------------------------- keys

@@ -5,8 +5,8 @@ they inherit the infrastructure's fault tolerance and scalability (§1, §3.1).
 This package reproduces the programming contract those pipelines rely on:
 
 * ``MapReduceJob`` — mapper / optional combiner / reducer over key-value
-  pairs, with a pluggable deterministic partition function (hash default,
-  degree-aware planned placement — see ``repro.mapreduce.partition``);
+  pairs, with a per-job deterministic partition function (crc32 hash by
+  default);
 * ``LocalRuntime`` — pluggable ``serial`` / ``threads`` / ``processes``
   backends (see ``BACKEND_REGISTRY``), multi-round chaining, and a
   partitioned disk-spill shuffle (out-of-core operation; mandatory under
@@ -26,16 +26,6 @@ from repro.mapreduce.backends import (
     register_backend,
 )
 from repro.mapreduce.job import Combiner, JobFailedError, MapReduceJob, SumCombiner
-from repro.mapreduce.partition import (
-    PARTITIONERS,
-    HashPartitioner,
-    PartitionPlan,
-    Partitioner,
-    PlannedPartitioner,
-    plan_partitions,
-    publish_plan,
-    spill_tag,
-)
 from repro.mapreduce.runtime import LocalRuntime, RunStats
 from repro.mapreduce.fault import (
     FAULT_KINDS,
@@ -68,11 +58,6 @@ __all__ = [
     "WorkerCrashError",
     "DistFileSystem",
     "UncommittedDatasetError",
-    "PARTITIONERS",
-    "HashPartitioner",
-    "PartitionPlan",
-    "Partitioner",
-    "PlannedPartitioner",
     "SPILL_CODECS",
     "SpillLayout",
     "SpillWriteResult",
@@ -80,8 +65,5 @@ __all__ = [
     "default_partition",
     "key_bytes",
     "make_backend",
-    "plan_partitions",
-    "publish_plan",
     "register_backend",
-    "spill_tag",
 ]

@@ -67,7 +67,7 @@ import tempfile
 import time
 import weakref
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.mapreduce.backends import AttemptContext, Backend, make_backend
@@ -80,9 +80,8 @@ from repro.mapreduce.fault import (
     maybe_check_deadline,
 )
 from repro.mapreduce.job import Combiner, JobFailedError, MapReduceJob, identity_mapper
-from repro.mapreduce.partition import spill_tag
 from repro.mapreduce.retry import PhaseMonitor, RetryPolicy
-from repro.mapreduce.shuffle import default_partition, group_sorted
+from repro.mapreduce.shuffle import group_sorted
 from repro.mapreduce.spill import (
     DEFAULT_RUN_BYTES,
     DEFAULT_RUN_RECORDS,
@@ -139,7 +138,7 @@ class RunStats:
     the quantity hub re-indexing exists to bound (§3.2.2)."""
     partition_records: dict[int, int] = field(default_factory=dict)
     """partition -> records shuffled *into* that reduce partition this round
-    — the skew the pluggable partitioner exists to control."""
+    — the load-balance evidence for the job's partition function."""
     partition_bytes: dict[int, int] = field(default_factory=dict)
     """partition -> shuffle file bytes destined for that reduce partition
     (spilled shuffles only; empty for in-memory rounds)."""
@@ -190,9 +189,8 @@ class RunStats:
 
 
 def _skew_factor(per_partition: dict[int, int]) -> float:
-    """Max/mean of a per-partition counter.  The imbalance number the bench
-    grid tracks: hashing a power-law key set pushes it well above 1; the
-    planned partitioner pulls it back toward 1."""
+    """Max/mean of a per-partition counter.  Hashing a power-law key set
+    pushes it well above 1; hub re-indexing pulls it back toward 1."""
     if len(per_partition) < 2:
         return 0.0
     total = sum(per_partition.values())
@@ -537,7 +535,6 @@ class LocalRuntime:
         task_timeout_s: float | None = None,
         speculation_factor: float | None = None,
         retry_policy: RetryPolicy | None = None,
-        partitioner: Callable[[object, int], int] | None = None,
         shuffle_transport: str = "local",
         cluster=None,
     ):
@@ -579,11 +576,6 @@ class LocalRuntime:
         self.injector = failure_injector
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.shuffle_codec = shuffle_codec
-        self.partitioner = partitioner
-        """Runtime-level partition function: overrides every job that still
-        carries the hash default (jobs with an explicit partitioner keep
-        it).  Must be deterministic and, under the process backend,
-        picklable — see :class:`~repro.mapreduce.partition.Partitioner`."""
         self.spill_run_records = spill_run_records
         self.spill_run_bytes = spill_run_bytes
         self.shuffle_transport = shuffle_transport
@@ -611,32 +603,10 @@ class LocalRuntime:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def needs_pickling(self) -> bool:
-        """True when tasks (and everything inside them — operators,
-        partitioners, sinks) cross a process boundary.  Callers use this to
-        pick broadcast transports: inline payloads for in-process backends,
-        shared-memory locators for pickling ones."""
-        return self._backend.needs_pickling
-
-    def _resolve_partitioner(self, job: MapReduceJob | None) -> MapReduceJob | None:
-        """Apply the runtime-level partitioner to jobs still on the hash
-        default.  A job that names its own partitioner is explicit intent
-        (e.g. a final round pinned to hash for output-order stability) and
-        is left alone."""
-        if (
-            job is None
-            or self.partitioner is None
-            or job.partitioner is not default_partition
-        ):
-            return job
-        return replace(job, partitioner=self.partitioner)
-
     # ------------------------------------------------------------------ api
     def run(self, job: MapReduceJob, inputs: Iterable[tuple]) -> list[tuple]:
         """Execute one round; returns the reducer output pairs, ordered by
         (reduce partition, key order within partition)."""
-        job = self._resolve_partitioner(job)
         if self._backend.needs_pickling:
             self._check_shippable(job)
         output, stats = self._run_one(job, list(inputs), incoming=None, next_job=None)
@@ -665,7 +635,6 @@ class LocalRuntime:
         data = list(inputs)
         if not jobs:
             return data
-        jobs = [self._resolve_partitioner(job) for job in jobs]
         if self._backend.needs_pickling:
             for job in jobs:
                 self._check_shippable(job)
@@ -780,7 +749,6 @@ class LocalRuntime:
                         job.name,
                         job.num_reducers,
                         codec=self.shuffle_codec,
-                        partition_tag=spill_tag(job.partitioner),
                         partition_subdirs=self._transport.partition_subdirs,
                     )
                     # Chain state before the write: if encoding fails
@@ -811,7 +779,6 @@ class LocalRuntime:
                         job.name,
                         job.num_reducers,
                         codec=self.shuffle_codec,
-                        partition_tag=spill_tag(job.partitioner),
                         partition_subdirs=self._transport.partition_subdirs,
                     )
                     consumed = _ChainState(num_tasks=job.effective_mappers, layout=layout)
@@ -855,7 +822,6 @@ class LocalRuntime:
                     chain_name,
                     next_job.num_reducers,
                     codec=self.shuffle_codec,
-                    partition_tag=spill_tag(next_job.partitioner),
                     partition_subdirs=self._transport.partition_subdirs,
                 )
                 sink = _SpillChainSink(

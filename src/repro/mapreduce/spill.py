@@ -144,12 +144,6 @@ class SpillLayout:
     job_name: str
     num_partitions: int
     codec: str = "pickle"
-    partition_tag: str = ""
-    """Spill-tag of the partition function that routed records into this
-    layout (``Partitioner.spill_tag()``) — embedded in run-file names so a
-    spill directory self-describes how its partitions were assigned, and so
-    runs of the same job under different partitioners can never be merged
-    together.  ``""`` keeps the historical tag-less naming."""
     partition_subdirs: bool = False
     """Route each partition's runs into a ``p00007/`` peer directory under
     ``root`` (the shared-dir shuffle transport: writers push straight to
@@ -162,17 +156,6 @@ class SpillLayout:
             raise ValueError(
                 f"unknown spill codec {self.codec!r}; known: {SPILL_CODECS}"
             )
-        if self.partition_tag and not self.partition_tag.isalnum():
-            raise ValueError(
-                f"partition tag {self.partition_tag!r} must be alphanumeric "
-                "(it is embedded in spill file names)"
-            )
-
-    @property
-    def _file_prefix(self) -> str:
-        if self.partition_tag:
-            return f"{self.job_name}.{self.partition_tag}"
-        return self.job_name
 
     def path(self, map_task: int, partition: int) -> Path:
         """Path of the first (and, for eager writes, only) run file."""
@@ -183,7 +166,7 @@ class SpillLayout:
         per ``(map_task, partition)``; the reader scans until the first
         missing index."""
         ext = _CODEC_EXTS[self.codec]
-        name = f"{self._file_prefix}.m{map_task:05d}.p{partition:05d}.r{run:05d}.{ext}"
+        name = f"{self.job_name}.m{map_task:05d}.p{partition:05d}.r{run:05d}.{ext}"
         if self.partition_subdirs:
             return Path(self.root) / f"p{partition:05d}" / name
         return Path(self.root) / name
@@ -345,9 +328,9 @@ class SpillLayout:
         the reduce is done."""
         root = Path(self.root)
         if root.exists():
-            pattern = f"{self._file_prefix}.m*"
+            pattern = f"{self.job_name}.m*"
             if self.partition_subdirs:
-                pattern = f"p[0-9]*/{self._file_prefix}.m*"
+                pattern = f"p[0-9]*/{self.job_name}.m*"
             for path in root.glob(pattern):
                 path.unlink(missing_ok=True)
 

@@ -353,6 +353,23 @@ def _read_uvarint(fh) -> int | None:
             raise FrameCorruptionError("frame varint longer than 64 bits")
 
 
+_READ_CHUNK = 1 << 20
+
+
+def _read_chunked(fh, n: int) -> bytes:
+    """Read up to ``n`` bytes chunk by chunk, stopping at end of stream.
+    ``n`` comes from an untrusted length prefix: a corrupt prefix claiming
+    a terabyte allocates only the bytes that actually arrive."""
+    chunks = []
+    while n:
+        chunk = fh.read(min(n, _READ_CHUNK))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
 def read_frame(fh) -> tuple[bytes, bytes] | None:
     """Read one ``(key, payload)`` frame from an open binary stream, or
     ``None`` on clean EOF (before the first byte of the frame).
@@ -365,13 +382,13 @@ def read_frame(fh) -> tuple[bytes, bytes] | None:
     klen = _read_uvarint(fh)
     if klen is None:
         return None
-    key = fh.read(klen)
+    key = fh.read(klen) if klen <= _READ_CHUNK else _read_chunked(fh, klen)
     if len(key) != klen:
         raise FrameCorruptionError("truncated frame key")
     plen = _read_uvarint(fh)
     if plen is None:
         raise FrameCorruptionError("frame missing payload length")
-    payload = fh.read(plen)
+    payload = fh.read(plen) if plen <= _READ_CHUNK else _read_chunked(fh, plen)
     if len(payload) != plen:
         raise FrameCorruptionError("truncated frame payload")
     trailer = fh.read(_CRC.size)

@@ -226,10 +226,7 @@ class TcpFetchSource:
         # the intact runs — the network twin of corrupt-run/truncate-run.
         fault = take_conn_fault()
         ext = self.layout.run_path(0, 0, 0).suffix.lstrip(".")
-        prefix = self.layout.job_name
-        if self.layout.partition_tag:
-            prefix = f"{prefix}.{self.layout.partition_tag}"
-        pattern = f"{prefix}.m*.p{self.partition:05d}.r*.{ext}"
+        pattern = f"{self.layout.job_name}.m*.p{self.partition:05d}.r*.{ext}"
         with connect(self.host, self.port) as conn:
             conn.send(b"fetch", encode_value((self.layout.root, pattern)))
             received: list[str] = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cli import _runtime_from_args, build_parser
 from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.infer import GraphInferConfig, graph_infer
 from repro.mapreduce import FailureInjector, LocalRuntime
@@ -43,14 +44,19 @@ class TestGraphFlatBackendMatrix:
         assert procs.hub_nodes == serial.hub_nodes
         assert procs.samples == serial.samples  # encoded wire bytes
 
-    def test_processes_via_config_knobs(self, hub_graph):
+    def test_processes_via_cli_flags(self, hub_graph):
+        """The CLI's MapReduce flags reach the runtime it passes in."""
         ds = hub_graph
         targets = ds.train_ids[:20]
         serial = graph_flat(ds.nodes, ds.edges, targets, flat_config())
-        procs = graph_flat(
-            ds.nodes, ds.edges, targets,
-            flat_config(backend="processes", num_workers=2),
-        )
+        args = build_parser().parse_args([
+            "graphflat", "-n", "nodes.tsv", "-e", "edges.tsv", "--dfs", "dfs",
+            "--backend", "processes", "--num-workers", "2",
+        ])
+        with _runtime_from_args(args) as runtime:
+            assert (runtime.backend, runtime.max_workers) == ("processes", 2)
+            assert runtime.shuffle_codec == "binary"  # the CLI default
+            procs = graph_flat(ds.nodes, ds.edges, targets, flat_config(), runtime)
         assert procs.samples == serial.samples
 
     def test_fault_injection_under_processes(self, hub_graph):
@@ -87,9 +93,7 @@ class TestShuffleCodecMatrix:
     def test_graphflat_codecs_byte_identical(self, hub_graph, tmp_path):
         ds = hub_graph
         targets = ds.train_ids[:30]
-        baseline = graph_flat(
-            ds.nodes, ds.edges, targets, flat_config(shuffle_codec="pickle")
-        )
+        baseline = graph_flat(ds.nodes, ds.edges, targets, flat_config())
         assert baseline.hub_nodes, "fixture must trigger re-indexing"
         bytes_by_codec = {}
         for codec in ("pickle", "binary"):
@@ -112,9 +116,7 @@ class TestShuffleCodecMatrix:
     def test_graphflat_binary_processes_byte_identical(self, hub_graph, workers):
         ds = hub_graph
         targets = ds.train_ids[:30]
-        baseline = graph_flat(
-            ds.nodes, ds.edges, targets, flat_config(shuffle_codec="pickle")
-        )
+        baseline = graph_flat(ds.nodes, ds.edges, targets, flat_config())
         with LocalRuntime(
             backend="processes", max_workers=workers, shuffle_codec="binary"
         ) as runtime:

@@ -268,18 +268,15 @@ class TestSinkMatrix:
         ds = mini_cora
         targets = ds.train_ids[:10]
         fs = DistFileSystem(tmp_path / "dfs") if sink == "reducer" else None
-        config = GraphFlatConfig(
-            hops=2,
-            max_neighbors=10**9,
-            hub_threshold=10**9,
-            backend=backend,
-            num_workers=2,
-            spill_dir=tmp_path / "spill",
+        config = GraphFlatConfig(hops=2, max_neighbors=10**9, hub_threshold=10**9)
+        with LocalRuntime(
+            backend=backend, max_workers=2, spill_dir=tmp_path / "spill",
             shuffle_codec=codec,
-        )
-        result = graph_flat(
-            ds.nodes, ds.edges, targets, config, fs=fs, dataset_name="flat"
-        )
+        ) as runtime:
+            result = graph_flat(
+                ds.nodes, ds.edges, targets, config, runtime, fs=fs,
+                dataset_name="flat",
+            )
         assert result.num_targets == len(targets)
         stream = result.samples if fs is None else list(fs.read_dataset("flat"))
         if not hasattr(self, "_reference"):

@@ -10,6 +10,10 @@ way ``perfbench/golden.json`` is.
 Every case also asserts that the DFS stream equals the in-memory output
 (``fs=None``) of the same run: the reducers' shard writer and the parent's
 in-memory collection must agree record for record.
+
+GraphTrainer loss trajectories are float results too: their digests (the
+epoch losses packed as little-endian doubles) are compared on
+``INFER_PLATFORM`` only.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ import pytest
 
 from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.infer import GraphInferConfig, graph_infer
+from repro.core.trainer import GraphTrainer, TrainerConfig
 from repro.datasets import labeled_edges_like, uug_like
-from repro.mapreduce import DistFileSystem
+from repro.mapreduce import DistFileSystem, LocalRuntime
 from repro.nn.gnn import GCNModel, GraphSAGEModel
 from repro.proto.codec import encode_prediction
 
@@ -39,8 +44,13 @@ INFER_GOLDEN = {
     "node_classification": "9c4b4d25eebfba6230133c946088c7791752c3811e9b46c7a11dd45285272b11",
     "link_prediction": "252da966b7d294f0186edad3a70ed58352c7acbeab2c68c4de6da85ef3bc4688",
 }
+TRAIN_GOLDEN = {
+    "node_classification": "5ff6e14bb140419c1bac1c7598917871acad004cc7acb0655071a4b4b1d3461a",
+    "link_prediction": "805dce98b42368b014d7b36ff7d69fffa00a3eec9d04c59dc2fcbcc1ce3b4c3a",
+}
 INFER_PLATFORM = "4921084a17790baa"
-"""Numeric platform the ``INFER_GOLDEN`` digests were recorded on."""
+"""Numeric platform the ``INFER_GOLDEN`` and ``TRAIN_GOLDEN`` digests were
+recorded on."""
 
 
 def stream_digest(records) -> str:
@@ -128,3 +138,39 @@ def test_graphinfer_golden(task, uug_graph, edge_graph, tmp_path):
     assert stream == [encode_prediction(v, s) for v, s in scores.items()]
     if numeric_platform() == INFER_PLATFORM:
         assert stream_digest(stream) == INFER_GOLDEN[task]
+
+
+def test_graphflat_golden_through_spill(uug_graph, tmp_path):
+    """The processes backend spilling binary shuffle runs to disk writes the
+    same bytes as the serial in-memory run."""
+    nodes, edges, targets, config = flat_case("node_classification", uug_graph, None)
+    fs = DistFileSystem(tmp_path / "dfs")
+    with LocalRuntime(
+        backend="processes", max_workers=2, spill_dir=tmp_path / "spill",
+        shuffle_codec="binary",
+    ) as runtime:
+        graph_flat(nodes, edges, targets, config, runtime, fs=fs, dataset_name="flat")
+    assert stream_digest(fs.read_dataset("flat")) == FLAT_GOLDEN["node_classification"]
+    assert list((tmp_path / "spill").iterdir()) == []
+
+
+def train_case(task, uug_graph, edge_graph):
+    nodes, edges, targets, flat_config = flat_case(task, uug_graph, edge_graph)
+    samples = graph_flat(nodes, edges, targets, flat_config).samples
+    if task == "node_classification":
+        model = GCNModel(uug_graph.feature_dim, 8, 2, num_layers=2, seed=0)
+        config = TrainerConfig(task="multiclass", epochs=4, batch_size=8, seed=0)
+    else:
+        model = GraphSAGEModel(4, 8, 2, num_layers=2, seed=0)
+        config = TrainerConfig(task="link_prediction", epochs=4, batch_size=8, seed=0)
+    return model, config, samples
+
+
+@pytest.mark.parametrize("task", sorted(TRAIN_GOLDEN))
+def test_graphtrainer_loss_golden(task, uug_graph, edge_graph):
+    model, config, samples = train_case(task, uug_graph, edge_graph)
+    losses = [float(h["loss"]) for h in GraphTrainer(model, config).fit(samples)]
+    assert len(losses) == config.epochs and all(np.isfinite(losses))
+    if numeric_platform() == INFER_PLATFORM:
+        digest = hashlib.sha256(struct.pack(f"<{len(losses)}d", *losses)).hexdigest()
+        assert digest == TRAIN_GOLDEN[task]

@@ -14,6 +14,7 @@ from repro.core.graphflat import (
     make_sampler,
 )
 from repro.core.graphflat.records import InEdgeInfo
+from repro.core.infer import GraphInferConfig
 from repro.graph import AttributedGraph
 from repro.mapreduce import DistFileSystem, FailureInjector, LocalRuntime
 from repro.proto import decode_sample
@@ -253,3 +254,25 @@ class TestSubgraphInfo:
         s, d = gf.edge_src[0], gf.edge_dst[0]
         assert gf.node_ids[s] == 9 and gf.node_ids[d] == 5
         np.testing.assert_allclose(gf.edge_feat, [[7.0]])
+
+
+class TestConfigValidation:
+    """Both pipeline configs reject bad algorithm values when constructed,
+    with the same checks, instead of failing once the pipeline runs."""
+
+    @pytest.mark.parametrize("config_cls", [GraphFlatConfig, GraphInferConfig])
+    @pytest.mark.parametrize("field, value, error", [
+        ("num_reducers", 0, ValueError),
+        ("max_neighbors", 0, ValueError),
+        ("sampling", "nope", KeyError),
+        ("reindex_fanout", 1, ValueError),
+        ("task", "nope", KeyError),
+    ])
+    def test_rejects_bad_values_at_construction(self, config_cls, field, value, error):
+        with pytest.raises(error):
+            config_cls(**{field: value})
+
+    @pytest.mark.parametrize("config_cls", [GraphFlatConfig, GraphInferConfig])
+    def test_runtime_fields_live_on_the_runtime(self, config_cls):
+        with pytest.raises(TypeError):
+            config_cls(backend="processes")

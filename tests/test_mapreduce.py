@@ -465,6 +465,68 @@ class TestParentSidePartitioning:
         assert all(rs.map_attempts == 0 for rs in runtime.round_stats)
 
 
+@dataclass
+class SpyPartitioner:
+    """A custom job partitioner (reversed hash placement) that records every
+    ``key -> partition`` decision it makes."""
+
+    calls: list
+
+    def __call__(self, key, num_partitions):
+        partition = num_partitions - 1 - default_partition(key, num_partitions)
+        self.calls.append((key_bytes(key), partition))
+        return partition
+
+
+class TestJobPartitioner:
+    """``MapReduceJob.partitioner`` decides placement on every shuffle path;
+    the job's result never depends on it."""
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["memory", "spill"])
+    def test_custom_partitioner_grouping_and_reexecution(self, tmp_path, spill):
+        spy = SpyPartitioner([])
+        injector = FailureInjector(0.3, seed=3)
+        with LocalRuntime(
+            "threads", max_workers=2, max_attempts=12, failure_injector=injector,
+            spill_dir=tmp_path if spill else None, shuffle_codec="binary",
+        ) as runtime:
+            out = runtime.run(word_count_job(num_reducers=3, partitioner=spy), CORPUS)
+        assert injector.injected > 0
+        assert sorted(out) == sorted(EXPECTED.items())  # one group per key
+        placements: dict[bytes, set] = {}
+        for key, partition in spy.calls:
+            placements.setdefault(key, set()).add(partition)
+        assert set(placements) == {key_bytes(word) for word in EXPECTED}
+        # re-executed attempts place every record where the first one did
+        assert all(len(parts) == 1 for parts in placements.values())
+
+    def test_custom_partitioner_routes_chained_rounds(self):
+        spy = SpyPartitioner([])
+        inc = MapReduceJob("inc", _inc_reducer, num_reducers=3, partitioner=spy)
+        out = dict(LocalRuntime().run_rounds([inc, inc], [(i, i) for i in range(6)]))
+        assert out == {i: i + 2 for i in range(6)}
+        # parent-side partitioning of round 1, then round 1's reducers
+        # partitioning for round 2: 6 keys each
+        assert len(spy.calls) == 12
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["memory", "spill"])
+    def test_skew_stats_under_hash(self, tmp_path, spill):
+        """Keys that all hash to one reducer: the skew factor says so."""
+        n = 4
+        hot = [w for w in (f"w{i}" for i in range(400)) if default_partition(w, n) == 0][:n]
+        data = [(i, " ".join(hot)) for i in range(40)]
+        with LocalRuntime(spill_dir=tmp_path if spill else None) as runtime:
+            runtime.run(word_count_job(num_reducers=n), data)
+        stats = runtime.last_stats
+        assert stats.records_skew() == pytest.approx(n)  # all on one reducer
+        assert set(stats.partition_records) == set(range(n))
+        assert sum(stats.partition_records.values()) == stats.shuffled_records
+        if spill:
+            assert stats.bytes_skew() == pytest.approx(n)
+        else:
+            assert stats.bytes_skew() == 0.0
+
+
 def _echo_reducer(key, values):
     for value in values:
         yield key, value

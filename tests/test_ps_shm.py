@@ -28,7 +28,7 @@ from repro.ps import (
     ParameterServerGroup,
     WorkerError,
 )
-from repro.ps.shm import mp_context
+from repro.ps.shm import BytesBroadcast, attach_shared_memory, mp_context
 
 
 def small_state(seed=0):
@@ -177,6 +177,30 @@ class TestSlabBroadcast:
                 if seg is not None:
                     seg.close()
                 bc.close()
+
+
+class TestBytesBroadcast:
+    """One raw byte payload in a named segment (the per-host republish of a
+    fetched TCP broadcast): attach by name, unlink exactly once."""
+
+    def test_publish_attach_close(self):
+        payload = b"broadcast-bytes" * 100
+        bcast = BytesBroadcast(payload)
+        seg = attach_shared_memory(bcast.name)
+        try:
+            assert bytes(seg.buf[: len(payload)]) == payload
+        finally:
+            seg.close()
+        bcast.close()
+        bcast.close()  # idempotent
+        with pytest.raises(FileNotFoundError):
+            attach_shared_memory(bcast.name)
+
+    def test_context_manager_unlinks(self):
+        with BytesBroadcast(b"x") as bcast:
+            name = bcast.name
+        with pytest.raises(FileNotFoundError):
+            attach_shared_memory(name)
 
 
 def _run_group_workers(group, num_workers, steps, grad_seed=100):

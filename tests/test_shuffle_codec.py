@@ -9,6 +9,7 @@ codecs (asserted in test_backend_matrix) rests on it.
 from __future__ import annotations
 
 import io
+import socket
 import struct
 
 import numpy as np
@@ -19,11 +20,13 @@ from hypothesis import strategies as st
 from repro.core.graphflat.records import InEdgeInfo, OutEdgeInfo, PartialMerge, SubgraphInfo
 from repro.core.infer.pipeline import _InEmb, _OutEdge
 from repro.mapreduce.shuffle import decode_key, key_bytes
+from repro.proto.varint import encode_unsigned
 from repro.proto.framing import (
     FrameCorruptionError,
     decode_value,
     encode_value,
     iter_frames,
+    read_frame,
     read_stream_header,
     register_record,
     write_frame,
@@ -347,3 +350,34 @@ class TestFrameStreams:
         read_stream_header(fh)
         with pytest.raises(FrameCorruptionError, match="truncated"):
             list(iter_frames(fh))
+
+    @pytest.mark.parametrize("field", ["key", "payload"])
+    def test_huge_length_prefix_reads_only_what_arrives(self, tmp_path, field):
+        """A corrupt prefix claiming 1 TiB must not allocate 1 TiB: the
+        read stops at the bytes that actually arrive, on a socket and on a
+        file alike."""
+        claim = encode_unsigned(1 << 40) + b"xyz"
+        frame = claim if field == "key" else encode_unsigned(1) + b"k" + claim
+        left, right = socket.socketpair()
+        try:
+            left.sendall(frame)
+            left.shutdown(socket.SHUT_WR)
+            with right.makefile("rb") as fh:
+                with pytest.raises(FrameCorruptionError, match=f"truncated frame {field}"):
+                    read_frame(fh)
+        finally:
+            left.close()
+            right.close()
+        path = tmp_path / "frame.bin"
+        path.write_bytes(frame)
+        with open(path, "rb") as fh:
+            with pytest.raises(FrameCorruptionError, match=f"truncated frame {field}"):
+                read_frame(fh)
+
+    def test_multi_chunk_frame_round_trip(self):
+        buf = io.BytesIO()
+        payload = bytes(range(256)) * 9000  # > one read chunk
+        write_frame(buf, b"big", payload)
+        buf.seek(0)
+        assert read_frame(buf) == (b"big", payload)
+        assert read_frame(buf) is None

@@ -2,7 +2,7 @@
 
 The contract under test: a shuffle transport changes *where run bytes
 travel*, never *what the job outputs* — ``local``, ``tcp`` and
-``shared-dir`` are byte-identical on every backend and partitioner, the
+``shared-dir`` are byte-identical on every backend, the
 wire grammar is the spill frame grammar (CRC verified end-to-end), and the
 spill-session sweep never reaps another host's sessions off a shared
 mount.
@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro.cli import _runtime_from_args, build_parser
 from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.infer import GraphInferConfig, graph_infer
 from repro.mapreduce import LocalRuntime, MapReduceJob
@@ -298,19 +299,15 @@ class TestByteIdentityMatrix:
         else:
             assert stats.transport_bytes_sent > 0
 
-    @pytest.mark.parametrize("partitioner", ("hash", "planned"))
     @pytest.mark.parametrize("transport", ("tcp", "shared-dir"))
-    def test_graphflat_identical(
-        self, hub_graph, flat_baseline, tmp_path, transport, partitioner
-    ):
+    def test_graphflat_identical(self, hub_graph, flat_baseline, tmp_path, transport):
         ds = hub_graph
         with LocalRuntime(
             backend="threads", max_workers=2, spill_dir=tmp_path,
             shuffle_transport=transport,
         ) as runtime:
             result = graph_flat(
-                ds.nodes, ds.edges, ds.train_ids[:20],
-                flat_config(partitioner=partitioner), runtime,
+                ds.nodes, ds.edges, ds.train_ids[:20], flat_config(), runtime
             )
         assert result.hub_nodes == flat_baseline.hub_nodes
         assert result.samples == flat_baseline.samples  # encoded wire bytes
@@ -336,13 +333,18 @@ class TestByteIdentityMatrix:
         for node_id, scores in baseline.scores.items():
             assert np.array_equal(result.scores[node_id], scores)
 
-    def test_config_knobs_reach_runtime(self, hub_graph, flat_baseline):
-        """The pipeline configs grow the same transport knobs as the CLI."""
+    def test_cli_flags_reach_runtime(self, hub_graph, flat_baseline):
+        """The CLI's transport flags reach the runtime it passes in."""
         ds = hub_graph
-        result = graph_flat(
-            ds.nodes, ds.edges, ds.train_ids[:20],
-            flat_config(backend="threads", num_workers=2, shuffle_transport="tcp"),
-        )
+        args = build_parser().parse_args([
+            "graphflat", "-n", "nodes.tsv", "-e", "edges.tsv", "--dfs", "dfs",
+            "--backend", "threads", "--shuffle-transport", "tcp",
+        ])
+        with _runtime_from_args(args) as runtime:
+            result = graph_flat(
+                ds.nodes, ds.edges, ds.train_ids[:20], flat_config(), runtime
+            )
+        assert runtime.shuffle_transport == "tcp"
         assert result.samples == flat_baseline.samples
         assert sum(rs.transport_bytes_sent for rs in result.round_stats) > 0
 
@@ -353,10 +355,6 @@ class TestByteIdentityMatrix:
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError, match="unknown shuffle transport"):
             LocalRuntime(shuffle_transport="bogus")
-        with pytest.raises(ValueError, match="shuffle_transport"):
-            GraphFlatConfig(shuffle_transport="bogus")
-        with pytest.raises(ValueError, match="shuffle_transport"):
-            GraphInferConfig(shuffle_transport="bogus")
 
 
 # ------------------------------------------------------- session sweep scope
